@@ -18,20 +18,18 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from .exprcore import Verdict, eval_num, is_zero, normalize, parse
+from .exprcore import Verdict, eval_num, is_zero, parse
 from .geom import (
     ConformalVerdict,
     MetricSpace,
     VectorField,
     conformal_check,
-    conformal_factor,
     laplace_beltrami,
     lie_bracket,
 )
 from .detsys import (
     AnsatzBasis,
     NonlinearityClass,
-    NonlinearityTag,
     SymmetryGenerator,
     classify,
     determining_residuals,
@@ -57,6 +55,9 @@ GEOMETRY_NAMES = ("euclidean", "hyperbolic3", "sphere3", "sol",
 #: default class sweep for the fixture suite
 DEFAULT_CLASSES = ("arbitrary", "zero", "linear", "exponential",
                    "power3", "critical")
+
+#: sweep names that fix the exponent of a named class
+_SWEEP_ALIASES = {"power3": ("power", 3)}
 
 #: classes whose Noether symmetries get their currents built and verified
 CURRENT_CLASSES = ("arbitrary", "zero", "linear", "critical")
@@ -735,25 +736,6 @@ class SuiteReport:
         return out
 
 
-def _nonlinearity(name: str, M: MetricSpace) -> NonlinearityClass:
-    u = M.table.u
-    if name == "arbitrary":
-        return NonlinearityClass.arbitrary(u)
-    if name == "zero":
-        return NonlinearityClass.zero(u)
-    if name == "linear":
-        return NonlinearityClass.linear(u)
-    if name == "exponential":
-        return NonlinearityClass.exponential(u)
-    if name == "power3":
-        return NonlinearityClass.power(u, 3, M.n)
-    if name == "critical":
-        return NonlinearityClass.power(u, sp.Rational(M.n + 2, M.n - 2), M.n)
-    if name == "constant":
-        return NonlinearityClass.constant(u)
-    raise CatalogError(f"unknown nonlinearity class '{name}'")
-
-
 def _stack_field(M: MetricSpace, comps, points):
     vals = []
     for pt in points:
@@ -812,20 +794,20 @@ def _bracket_closure(fix: GeometryFixture, report: SuiteReport):
 
 def _noether_representative(gen: SymmetryGenerator, cls: NonlinearityClass,
                             mu) -> SymmetryGenerator:
-    """For the zero/linear/constant classes the scaling direction u d/du is
-    itself a symmetry, so a = ((2-n)/4) mu + c can be shifted to c = 0; the
-    shifted representative is the one eligible for a conserved current."""
-    if cls.tag in (NonlinearityTag.ZERO, NonlinearityTag.LINEAR,
-                   NonlinearityTag.CONSTANT):
-        n = gen.space.n
-        return SymmetryGenerator(gen.xi, sp.Rational(2 - n, 4) * mu, gen.b)
+    """For the scaling classes a = ((2-n)/4) mu + c can be shifted to the
+    canonical c = 0; the shifted representative is the one eligible for a
+    conserved current."""
+    if cls.scaling:
+        a, _ = cls.lift(gen.space.n, mu)
+        return SymmetryGenerator(gen.xi, a, gen.b)
     return gen
 
 
 def _run_class(fix: GeometryFixture, cname: str, report: SuiteReport,
                verify_samples: int):
     M = fix.space
-    cls = _nonlinearity(cname, M)
+    name, p = _SWEEP_ALIASES.get(cname, (cname, None))
+    cls = NonlinearityClass.named(name, M, p, None)
     table = classify(M, cls, fix.basis)
     report.class_dimensions[cname] = table.dimension
     report.add(f"classify:{cname}:clean", not table.inconclusive,
@@ -979,9 +961,7 @@ def run_fixture_suite(fixture, classes=DEFAULT_CLASSES,
         bad = []
         for kg in fix.extra_generators:
             gen = fix.generator(kg.name)
-            cls = (_nonlinearity("power3", M)
-                   if kg.case == "power" and kg.p == 3
-                   else _nonlinearity(kg.case, M))
+            cls = NonlinearityClass.named(kg.case, M, kg.p, None)
             if not determining_residuals(M, gen, cls).verdict:
                 bad.append(kg.name)
         report.add("extra_generators", not bad, detail="; ".join(bad))

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-import sympy as sp
-
-from .exprcore import ExprError, Verdict, is_zero, parse, to_grammar
+from .exprcore import ExprError, Verdict, parse, to_grammar
 from .geom import (GeometryError, MetricSpace, VectorField, conformal_check,
                    conformal_factor)
 from .detsys import (AnsatzBasis, DetSysError, NonlinearityClass,
-                     NonlinearityTag, SolverOptions, SymmetryGenerator,
-                     classify, determining_residuals, sampling_ready)
+                     SymmetryGenerator, classify, determining_residuals,
+                     sampling_ready)
 from .noether import (Lagrangian, NoetherError, NoetherKind, build_current,
                       noether_classify, verify_current_numeric,
                       verify_current_symbolic)
@@ -62,18 +61,23 @@ def load_manifest(doc: dict) -> dict:
     except (KeyError, TypeError) as exc:
         raise InputError(f"manifest missing required key: {exc}") from None
     signature = man.get("signature", "riemannian")
-    box = man.get("box", {})
+    box = man.get("box") or {}
     if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
         raise InputError("manifold.coords must be a list of strings")
     n = len(coords)
     if (not isinstance(g_rows, list) or len(g_rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in g_rows)):
         raise InputError(f"metric.g must be a {n}x{n} matrix of strings")
+    if not isinstance(box, dict):
+        raise InputError("manifold.box must be an object")
     box_t = {}
-    for name, rng in (box or {}).items():
-        if name not in coords or len(rng) != 2:
-            raise InputError(f"bad box entry for '{name}'")
-        box_t[name] = (float(rng[0]), float(rng[1]))
+    for name, rng in box.items():
+        if name not in coords:
+            raise InputError(f"bad box entry for '{name}': not a coordinate")
+        box_t[name] = _box_range(rng)
+        if box_t[name] is None:
+            raise InputError(f"bad box entry for '{name}': need [lo, hi], "
+                             f"finite numbers with lo < hi")
     try:
         space = MetricSpace(coords, g_rows, signature=signature, box=box_t,
                             params=("F_val",))
@@ -100,6 +104,19 @@ def load_manifest(doc: dict) -> dict:
 
     return {"space": space, "vectorfields": fields,
             "nonlinearity": doc.get("nonlinearity"), "ansatz": ansatz}
+
+
+def _box_range(rng):
+    """(lo, hi) as floats, or None unless rng is [lo, hi] with finite
+    numbers lo < hi."""
+    if not (isinstance(rng, list) and len(rng) == 2
+            and all(type(v) in (int, float) for v in rng)):
+        return None
+    try:
+        lo, hi = float(rng[0]), float(rng[1])
+    except OverflowError:
+        return None
+    return (lo, hi) if -math.inf < lo < hi < math.inf else None
 
 
 def read_manifest(path: str) -> dict:
@@ -148,9 +165,11 @@ def _resolve_input(args) -> dict:
             fix = catalog.load(args.geometry)
         except catalog.CatalogError as exc:
             raise InputError(str(exc)) from exc
-        loaded = load_manifest(export_fixture(fix))
-        loaded["fixture"] = fix
-        return loaded
+        fields = {**fix.killing, **fix.auxiliary_fields,
+                  **{kg.name: fix.generator(kg.name).xi
+                     for kg in fix.extra_generators}}
+        return {"space": fix.space, "vectorfields": fields,
+                "nonlinearity": None, "ansatz": fix.basis}
     if not getattr(args, "manifest", None):
         raise InputError("a manifest path or --geometry is required")
     return read_manifest(args.manifest)
@@ -166,34 +185,10 @@ def _nonlinearity_from(args, loaded) -> NonlinearityClass:
         raise InputError("no nonlinearity class given (--class or manifest)")
     p = args.p if getattr(args, "p", None) is not None else block.get("p")
     k = getattr(args, "k", None) or block.get("k")
-    M = loaded["space"]
-    u = M.table.u
     try:
-        if name == "arbitrary":
-            return NonlinearityClass.arbitrary(u)
-        if name == "zero":
-            return NonlinearityClass.zero(u)
-        if name == "linear":
-            return NonlinearityClass.linear(u)
-        if name == "exponential":
-            return NonlinearityClass.exponential(u)
-        if name == "constant":
-            kval = parse(str(k), M.table) if k is not None else None
-            return NonlinearityClass.constant(u, kval)
-        if name == "power":
-            if p is None:
-                raise InputError("class 'power' requires --p")
-            return NonlinearityClass.power(u, sp.nsimplify(p), M.n)
-        if name == "critical":
-            return NonlinearityClass.power(
-                u, sp.Rational(M.n + 2, M.n - 2), M.n)
-        if name == "p2n6":
-            if M.n != 6:
-                raise InputError("class 'p2n6' requires dimension n = 6")
-            return NonlinearityClass.power(u, 2, 6)
+        return NonlinearityClass.named(name, loaded["space"], p, k)
     except (DetSysError, ExprError) as exc:
         raise InputError(str(exc)) from exc
-    raise InputError(f"unknown nonlinearity class '{name}'")
 
 
 def _basis_from(args, loaded) -> AnsatzBasis:
@@ -217,18 +212,8 @@ def _basis_from(args, loaded) -> AnsatzBasis:
 def _canonical_generator(M: MetricSpace, cls: NonlinearityClass,
                          xi: VectorField) -> SymmetryGenerator:
     """Lift a conformal field to the canonical symmetry generator of the
-    class: a = ((2-n)/4) mu, b = 0 except a = 0, b = -mu (exponential) and
-    a = mu/(1-p), b = 0 (non-critical power)."""
-    from .exprcore import normalize
-    n = M.n
-    mu = conformal_factor(M, xi)
-    tag = cls.tag
-    if tag is NonlinearityTag.EXPONENTIAL:
-        a, b = sp.Integer(0), normalize(-mu)
-    elif tag in (NonlinearityTag.POWER, NonlinearityTag.P2N6):
-        a, b = normalize(mu / (1 - cls.p)), sp.Integer(0)
-    else:
-        a, b = normalize(sp.Rational(2 - n, 4) * mu), sp.Integer(0)
+    class (see NonlinearityClass.lift)."""
+    a, b = cls.lift(M.n, conformal_factor(M, xi))
     return SymmetryGenerator(xi, a, b)
 
 
@@ -262,19 +247,18 @@ def _require_symmetry(M, gen, cls):
     rep = determining_residuals(M, gen, cls)
     if rep.verdict:
         return
-    pol = M.policy()
-    bad = []
-    for i in range(M.n):
-        for j in range(i, M.n):
-            r = rep.conformal_residual[i, j]
-            if is_zero(sampling_ready(r, cls), pol) is not Verdict.ZERO:
-                bad.append(f"conformal residual [{i}{j}] = {to_grammar(r)}")
-    for i, r in enumerate(rep.gradient_residual):
-        if is_zero(sampling_ready(r, cls), pol) is not Verdict.ZERO:
-            bad.append(f"gradient residual [{i}] = {to_grammar(r)}")
-    r = rep.nonlinearity_residual
-    if is_zero(sampling_ready(r, cls), pol) is not Verdict.ZERO:
-        bad.append(f"nonlinearity residual = {to_grammar(r)}")
+    pairs = [(i, j) for i in range(M.n) for j in range(i, M.n)]
+    bad = [f"conformal residual [{i}{j}] = "
+           f"{to_grammar(rep.conformal_residual[i, j])}"
+           for (i, j), v in zip(pairs, rep.verdicts["conformal"])
+           if v is not Verdict.ZERO]
+    bad += [f"gradient residual [{i}] = {to_grammar(r)}"
+            for i, (r, v) in enumerate(zip(rep.gradient_residual,
+                                           rep.verdicts["gradient"]))
+            if v is not Verdict.ZERO]
+    if rep.verdicts["nonlinearity"] is not Verdict.ZERO:
+        bad.append("nonlinearity residual = "
+                   f"{to_grammar(rep.nonlinearity_residual)}")
     raise SymmetryError(
         "not a symmetry: determining equations fail\n  "
         + "\n  ".join(bad or rep.warnings or ["(inconclusive residuals)"]))
@@ -320,8 +304,7 @@ def cmd_killing(args) -> int:
     if args.solve:
         basis = _basis_from(args, loaded)
         cls = NonlinearityClass.zero(M.table.u)
-        table = classify(M, cls, basis,
-                         SolverOptions(seed=args.seed))
+        table = classify(M, cls, basis, args.seed)
         # the solve runs in the widest case (it admits every conformal
         # field); entries with xi = 0 are pure u-shifts, not vector fields
         entries = [e for e in table.entries
@@ -384,7 +367,7 @@ def cmd_classify(args) -> int:
     M = loaded["space"]
     cls = _nonlinearity_from(args, loaded)
     basis = _basis_from(args, loaded)
-    table = classify(M, cls, basis, SolverOptions(seed=args.seed))
+    table = classify(M, cls, basis, args.seed)
     rows = _classify_rows(M, table)
     if args.json:
         print(json.dumps({"class": cls.tag.value, "dimension": len(rows),

@@ -35,8 +35,8 @@ from .geom import (
     MetricSpace,
     VectorField,
     conformal_factor,
+    conformal_residual,
     laplace_beltrami,
-    lie_derivative_metric,
 )
 
 
@@ -63,6 +63,10 @@ class NonlinearityClass:
     opaque kernel F'(u) of an undefined antiderivative F(u), so total
     derivatives apply the chain rule; `opaque_substitutions` maps those
     kernels to plain symbols for numeric sampling.
+
+    This class is the case table: `named` builds a class from its name, and
+    `with_b`, `scaling`, `lift` and `side_checks` hold every rule that
+    depends on the case.
     """
 
     tag: NonlinearityTag
@@ -115,6 +119,105 @@ class NonlinearityClass:
             tag = NonlinearityTag.POWER
         return NonlinearityClass(tag, u, u**p, F, p=p)
 
+    @staticmethod
+    def named(name: str, M: MetricSpace, p, k) -> "NonlinearityClass":
+        """The class called `name` (a NonlinearityTag value) on M.
+
+        p is the exponent of 'power'; k is the value of 'constant', an
+        expression text or number, symbolic when None.
+        """
+        u, n = M.table.u, M.n
+        if name == "power" and p is None:
+            raise DetSysError("class 'power' requires an exponent p")
+        if name == "p2n6" and n != 6:
+            raise DetSysError("class 'p2n6' requires dimension n = 6")
+        make = {
+            "arbitrary": lambda: NonlinearityClass.arbitrary(u),
+            "zero": lambda: NonlinearityClass.zero(u),
+            "constant": lambda: NonlinearityClass.constant(
+                u, None if k is None else parse(str(k), M.table)),
+            "linear": lambda: NonlinearityClass.linear(u),
+            "exponential": lambda: NonlinearityClass.exponential(u),
+            "power": lambda: NonlinearityClass.power(u, sp.nsimplify(p), n),
+            "critical": lambda: NonlinearityClass.power(
+                u, sp.Rational(n + 2, n - 2), n),
+            "p2n6": lambda: NonlinearityClass.power(u, 2, 6),
+        }
+        if name not in make:
+            raise DetSysError(f"unknown nonlinearity class '{name}'")
+        return make[name]()
+
+    @property
+    def with_b(self) -> bool:
+        """Whether the ansatz carries b(x): b is forced to zero only for pure
+        power nonlinearities (critical included); exponential needs b = -mu."""
+        return self.tag not in (NonlinearityTag.POWER, NonlinearityTag.CRITICAL)
+
+    @property
+    def scaling(self) -> bool:
+        """Zero, linear and constant f: the scaling direction u d/du fixes a
+        only up to a constant, a = ((2-n)/4) mu + c."""
+        return self.tag in (NonlinearityTag.ZERO, NonlinearityTag.LINEAR,
+                            NonlinearityTag.CONSTANT)
+
+    def lift(self, n: int, mu: Expr) -> tuple:
+        """Canonical (a, b) over a conformal field with factor mu:
+        a = ((2-n)/4) mu, b = 0, except a = 0, b = -mu (exponential) and
+        a = mu/(1-p), b = 0 (non-critical power)."""
+        if self.tag is NonlinearityTag.EXPONENTIAL:
+            return sp.Integer(0), normalize(-mu)
+        if self.tag in (NonlinearityTag.POWER, NonlinearityTag.P2N6):
+            return normalize(mu / (1 - self.p)), sp.Integer(0)
+        return normalize(sp.Rational(2 - n, 4) * mu), sp.Integer(0)
+
+    def side_checks(self, M: MetricSpace, gen: "SymmetryGenerator",
+                    mu: Expr) -> dict:
+        """The case's side conditions on (mu, a, b), by name."""
+        n = M.n
+        pol = M.policy()
+        a, b = gen.a, gen.b
+        lap = lambda e: laplace_beltrami(M, e)
+        Z = lambda e: is_zero(e, pol) is Verdict.ZERO
+        tag = self.tag
+        checks = {}
+        if tag is NonlinearityTag.ARBITRARY:
+            checks["isometry"] = Z(mu)
+            checks["a_zero"] = Z(a)
+            checks["b_zero"] = Z(b)
+        elif tag is NonlinearityTag.ZERO:
+            checks["b_harmonic"] = Z(lap(b))
+            checks["mu_harmonic"] = Z(lap(mu))
+            checks["a_shift_constant"] = _is_constant(
+                M, a - sp.Rational(2 - n, 4) * mu, pol)
+        elif tag is NonlinearityTag.CONSTANT:
+            # for f = k != 0 the binding side conditions are Delta mu = 0 and
+            # (mu - a) k + Delta b = 0 (identically in k when k is symbolic)
+            checks["b_biharmonic"] = Z(lap(lap(b)))
+            checks["mu_harmonic"] = Z(lap(mu))
+            checks["balance"] = Z((mu - a) * self.k + lap(b))
+        elif tag is NonlinearityTag.LINEAR:
+            checks["b_eigen"] = Z(lap(b) + b)
+            checks["mu_eigen"] = Z(sp.Rational(2 - n, 4) * lap(mu) + mu)
+            checks["a_shift_constant"] = _is_constant(
+                M, a - sp.Rational(2 - n, 4) * mu, pol)
+        elif tag is NonlinearityTag.EXPONENTIAL:
+            checks["mu_constant"] = _is_constant(M, mu, pol)
+            checks["a_zero"] = Z(a)
+            checks["b_is_minus_mu"] = Z(b + mu)
+        elif tag is NonlinearityTag.POWER:
+            checks["mu_constant"] = _is_constant(M, mu, pol)
+            checks["a_relation"] = Z(a - mu / (1 - self.p))
+            checks["b_zero"] = Z(b)
+        elif tag is NonlinearityTag.CRITICAL:
+            checks["mu_harmonic"] = Z(lap(mu))
+            checks["a_relation"] = Z(a - sp.Rational(2 - n, 4) * mu)
+            checks["b_zero"] = Z(b)
+        elif tag is NonlinearityTag.P2N6:
+            checks["mu_biharmonic"] = Z(lap(lap(mu)))
+            checks["a_relation"] = Z(a + mu)
+            checks["b_relation"] = Z(b - lap(mu) / 2)
+        return checks
+
     def fprime(self) -> Expr:
         return sp.diff(self.f, self.u)
 
@@ -142,7 +245,6 @@ class SymmetryGenerator:
     xi: VectorField
     a: Expr
     b: Expr
-    c: sp.Rational | None = None
 
     def __post_init__(self):
         M = self.xi.space
@@ -172,7 +274,9 @@ class DeterminingReport:
     nonlinearity_residual: Expr            # (S3)
     mu: Expr
     verdict: bool
-    max_samples: dict = field(default_factory=dict)
+    # zero-test verdicts: "conformal" per entry i <= j in row order,
+    # "gradient" per component, "nonlinearity" a single Verdict
+    verdicts: dict
     warnings: list = field(default_factory=list)
 
 
@@ -231,60 +335,57 @@ def poisson_equation(M: MetricSpace, cls: NonlinearityClass) -> Expr:
     return H
 
 
-def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
-                          cls: NonlinearityClass) -> DeterminingReport:
-    if M.n < 3:
-        raise GeometryError("symmetry classification needs dimension n >= 3")
+def _determining_equations(M: MetricSpace, X: SymmetryGenerator,
+                           cls: NonlinearityClass) -> tuple:
+    """Unnormalized (S1)-(S3) for X: (mu, S1 matrix, S2 list, S3, curv).
+
+    curv is the curvature coefficient of u in S3, returned so that the
+    caller can check it against the equivalent ((2-n)/4) Delta_g mu.
+    """
     n, c, u = M.n, M.coords, cls.u
-    pol = M.policy()
-    warnings = []
-
-    lg = lie_derivative_metric(M, X.xi)
-    mu = normalize(sum(M.g_inv[i, j] * lg[j, i]
-                       for i in range(n) for j in range(n)) / n)
-    res1 = (lg - mu * M.g).applyfunc(normalize)
-    res2 = [normalize(sp.diff(X.a, c[i]) - sp.Rational(2 - n, 4) * sp.diff(mu, c[i]))
+    mu, res1 = conformal_residual(M, X.xi)
+    res2 = [sp.diff(X.a, c[i]) - sp.Rational(2 - n, 4) * sp.diff(mu, c[i])
             for i in range(n)]
-
     f, fp = cls.f, cls.fprime()
     R = M.scalar_curvature
     curv = sp.Rational(n - 2, 4 * (n - 1)) * (
         sum(X.xi[i] * sp.diff(R, c[i]) for i in range(n)) + mu * R)
-    res3 = normalize(X.a * u * fp + X.b * fp + (mu - X.a) * f
-                     + curv * u + laplace_beltrami(M, X.b))
-    # equivalent form carrying ((2-n)/4)(Delta_g mu) u instead of the
-    # curvature term; must agree whenever xi is conformal
-    alt3 = normalize(X.a * u * fp + X.b * fp + (mu - X.a) * f
-                     + sp.Rational(2 - n, 4) * laplace_beltrami(M, mu) * u
-                     + laplace_beltrami(M, X.b))
+    res3 = (X.a * u * fp + X.b * fp + (mu - X.a) * f
+            + curv * u + laplace_beltrami(M, X.b))
+    return mu, res1, res2, res3, curv
 
-    verdicts, max_samples = {}, {}
+
+def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
+                          cls: NonlinearityClass) -> DeterminingReport:
+    if M.n < 3:
+        raise GeometryError("symmetry classification needs dimension n >= 3")
+    n = M.n
+    pol = M.policy()
+    mu, res1, res2, res3, curv = _determining_equations(M, X, cls)
+    res1 = res1.applyfunc(normalize)
+    res2 = [normalize(r) for r in res2]
+    res3 = normalize(res3)
+
     v1 = [is_zero(res1[i, j], pol) for i in range(n) for j in range(i, n)]
-    verdicts["conformal"] = v1
     v2 = [is_zero(r, pol) for r in res2]
-    verdicts["gradient"] = v2
     v3 = is_zero(sampling_ready(res3, cls), pol)
     conformal_ok = all(v is Verdict.ZERO for v in v1)
-    if conformal_ok:
-        agree = is_zero(sampling_ready(res3 - alt3, cls), pol)
-        if agree is not Verdict.ZERO:
-            raise DetSysError("the two nonlinearity-residual forms disagree "
-                              "for a conformal generator")
-    for name, vs in (("conformal", v1), ("gradient", v2), ("nonlinearity", [v3])):
-        if any(v is Verdict.INCONCLUSIVE for v in vs):
-            warnings.append(f"inconclusive zero test in {name} residual")
-
-    from .geom import _max_abs_sample
-    max_samples["conformal"] = max(
-        (_max_abs_sample(res1[i, j], pol) for i in range(n) for j in range(i, n)),
-        default=0.0)
-    max_samples["gradient"] = max((_max_abs_sample(r, pol) for r in res2),
-                                  default=0.0)
-    max_samples["nonlinearity"] = _max_abs_sample(sampling_ready(res3, cls), pol)
-
+    # the equivalent form of (S3) carries ((2-n)/4)(Delta_g mu) u in place
+    # of the curvature term; the two must agree whenever xi is conformal
+    if conformal_ok and is_zero(
+            curv - sp.Rational(2 - n, 4) * laplace_beltrami(M, mu),
+            pol) is not Verdict.ZERO:
+        raise DetSysError("the two nonlinearity-residual forms disagree "
+                          "for a conformal generator")
+    warnings = [f"inconclusive zero test in {name} residual"
+                for name, vs in (("conformal", v1), ("gradient", v2),
+                                 ("nonlinearity", [v3]))
+                if Verdict.INCONCLUSIVE in vs]
     verdict = (conformal_ok and all(v is Verdict.ZERO for v in v2)
                and v3 is Verdict.ZERO)
-    return DeterminingReport(res1, res2, res3, mu, verdict, max_samples, warnings)
+    return DeterminingReport(
+        res1, res2, res3, mu, verdict,
+        {"conformal": v1, "gradient": v2, "nonlinearity": v3}, warnings)
 
 
 def scaling_gradient_residuals(M: MetricSpace, X: SymmetryGenerator) -> list:
@@ -300,26 +401,18 @@ def scaling_gradient_residuals(M: MetricSpace, X: SymmetryGenerator) -> list:
 # ---------------------------------------------------------------------------
 # linear-ansatz solver
 
-@dataclass(frozen=True)
-class SolverOptions:
-    seed: int = 7
-    oversample: int = 3           # sample rows >= oversample * unknowns
-    rank_tol: float = 1e-8
-    max_denominator: int = 10000
+_OVERSAMPLE = 3            # sample rows >= _OVERSAMPLE * unknowns
+_RANK_TOL = 1e-8           # relative singular-value cut for the nullspace
+_MAX_DENOMINATOR = 10000   # rationalization of the reduced nullspace rows
 
 
 @dataclass
 class SolveResult:
     generators: list               # symbolically verified
+    reports: list                  # DeterminingReport of each generator
     inconclusive: list             # nullspace directions that failed re-check
     basis: AnsatzBasis
     nullspace_dim: int
-
-
-def _includes_b(tag: NonlinearityTag) -> bool:
-    # b is forced to zero only for pure power nonlinearities (including the
-    # critical exponent); the exponential case needs b = -mu.
-    return tag not in (NonlinearityTag.POWER, NonlinearityTag.CRITICAL)
 
 
 def _unit_generators(M: MetricSpace, basis: AnsatzBasis, with_b: bool):
@@ -342,50 +435,37 @@ def _unit_generators(M: MetricSpace, basis: AnsatzBasis, with_b: bool):
     return units
 
 
-def _residual_functions(M: MetricSpace, unit: SymmetryGenerator,
-                        cls: NonlinearityClass):
+def _compile_unit(M: MetricSpace, unit: SymmetryGenerator,
+                  cls: NonlinearityClass):
     """Lambdified (S1)/(S2)/(S3) contributions of one unit coefficient."""
-    n, c, u = M.n, M.coords, cls.u
-    lg = lie_derivative_metric(M, unit.xi)
-    mu = normalize(sum(M.g_inv[i, j] * lg[j, i]
-                       for i in range(n) for j in range(n)) / n)
-    r1 = [lg[i, j] - mu * M.g[i, j] for i in range(n) for j in range(i, n)]
-    r2 = [sp.diff(unit.a, c[i]) - sp.Rational(2 - n, 4) * sp.diff(mu, c[i])
-          for i in range(n)]
-    f, fp = cls.f, cls.fprime()
-    R = M.scalar_curvature
-    r3 = (unit.a * u * fp + unit.b * fp + (mu - unit.a) * f
-          + sp.Rational(n - 2, 4 * (n - 1)) * (
-              sum(unit.xi[i] * sp.diff(R, c[i]) for i in range(n)) + mu * R) * u
-          + laplace_beltrami(M, unit.b))
-    r3 = sampling_ready(r3, cls)
-    extra = sorted(
-        (r3.free_symbols | {u}) - set(c), key=str)
-    args = list(c) + extra
-    fns1 = [sp.lambdify(c, e, "math") for e in r1 + r2]
-    fn3 = sp.lambdify(args, r3, "math")
+    n, c = M.n, M.coords
+    _, res1, res2, res3, _ = _determining_equations(M, unit, cls)
+    r3 = sampling_ready(res3, cls)
+    extra = sorted((r3.free_symbols | {cls.u}) - set(c), key=str)
+    fns1 = [sp.lambdify(c, e, "math")
+            for e in [res1[i, j] for i in range(n) for j in range(i, n)]
+            + res2]
+    fn3 = sp.lambdify(list(c) + extra, r3, "math")
     return fns1, fn3, [str(s) for s in extra]
 
 
 def solve_linear_ansatz(M: MetricSpace, cls: NonlinearityClass,
-                        basis: AnsatzBasis,
-                        options: SolverOptions = SolverOptions()) -> SolveResult:
+                        basis: AnsatzBasis, seed: int = 7) -> SolveResult:
     if M.n < 3:
         raise GeometryError("symmetry classification needs dimension n >= 3")
-    with_b = _includes_b(cls.tag)
-    units = _unit_generators(M, basis, with_b)
+    units = _unit_generators(M, basis, cls.with_b)
     U = len(units)
-    compiled = [_residual_functions(M, un, cls) for un in units]
+    compiled = [_compile_unit(M, un, cls) for un in units]
     extra_names = sorted({nm for _, _, names in compiled for nm in names})
 
-    rng = random.Random(options.seed)
+    rng = random.Random(seed)
     pol = M.policy()
     rows_per_point = M.n * (M.n + 1) // 2 + M.n + 1
-    n_points = max(2, (options.oversample * U) // rows_per_point + 2)
+    n_points = max(2, (_OVERSAMPLE * U) // rows_per_point + 2)
     rows = []
     made = 0
     while made < n_points:
-        pt = [rng.uniform(*pol.box.get(s, pol.default_range)) for s in M.coords]
+        pt = [pol.draw(rng, s) for s in M.coords]
         extras = {nm: rng.uniform(-2.0, 2.0) for nm in extra_names}
         extras.setdefault(str(cls.u), rng.uniform(-2.0, 2.0))
         block = []
@@ -404,19 +484,23 @@ def solve_linear_ansatz(M: MetricSpace, cls: NonlinearityClass,
 
     A = np.array(rows, dtype=float)
     _, sv, vt = np.linalg.svd(A)
-    tol = options.rank_tol * (sv[0] if len(sv) and sv[0] > 0 else 1.0)
+    tol = _RANK_TOL * (sv[0] if len(sv) and sv[0] > 0 else 1.0)
     null = vt[[i for i in range(len(vt)) if i >= len(sv) or sv[i] <= tol]]
     nullspace_dim = null.shape[0]
 
-    generators, inconclusive = [], []
-    for vec in _canonical_rows(null, options.max_denominator):
-        gen = _vector_to_generator(M, basis, with_b, vec)
+    generators, reports, inconclusive = [], [], []
+    for vec in _canonical_rows(null):
+        gen = _vector_to_generator(M, basis, cls.with_b, vec)
         rep = determining_residuals(M, gen, cls)
-        (generators if rep.verdict else inconclusive).append(gen)
-    return SolveResult(generators, inconclusive, basis, nullspace_dim)
+        if rep.verdict:
+            generators.append(gen)
+            reports.append(rep)
+        else:
+            inconclusive.append(gen)
+    return SolveResult(generators, reports, inconclusive, basis, nullspace_dim)
 
 
-def _canonical_rows(null: np.ndarray, max_den: int):
+def _canonical_rows(null: np.ndarray):
     """Float RREF of the nullspace followed by rationalization; the true
     solution spaces here have rational canonical bases, so the reduced rows
     land on exact rationals (and are re-verified symbolically afterwards)."""
@@ -437,7 +521,7 @@ def _canonical_rows(null: np.ndarray, max_den: int):
         r += 1
     out = []
     for i in range(r):
-        frs = [Fraction(v).limit_denominator(max_den) for v in A[i]]
+        frs = [Fraction(v).limit_denominator(_MAX_DENOMINATOR) for v in A[i]]
         out.append([sp.Rational(f.numerator, f.denominator) for f in frs])
     return out
 
@@ -484,68 +568,20 @@ def _is_constant(M: MetricSpace, e: Expr, pol) -> bool:
     return all(is_zero(sp.diff(e, x), pol) is Verdict.ZERO for x in M.coords)
 
 
-def _case_checks(M: MetricSpace, cls: NonlinearityClass,
-                 gen: SymmetryGenerator, mu: Expr) -> dict:
-    n = M.n
-    pol = M.policy()
-    a, b = gen.a, gen.b
-    lap = lambda e: laplace_beltrami(M, e)
-    Z = lambda e: is_zero(e, pol) is Verdict.ZERO
-    tag = cls.tag
-    checks = {}
-    if tag is NonlinearityTag.ARBITRARY:
-        checks["isometry"] = Z(mu)
-        checks["a_zero"] = Z(a)
-        checks["b_zero"] = Z(b)
-    elif tag is NonlinearityTag.ZERO:
-        checks["b_harmonic"] = Z(lap(b))
-        checks["mu_harmonic"] = Z(lap(mu))
-        checks["a_shift_constant"] = _is_constant(
-            M, a - sp.Rational(2 - n, 4) * mu, pol)
-    elif tag is NonlinearityTag.CONSTANT:
-        # for f = k != 0 the binding side conditions are Delta mu = 0 and
-        # (mu - a) k + Delta b = 0 (identically in k when k is symbolic)
-        checks["b_biharmonic"] = Z(lap(lap(b)))
-        checks["mu_harmonic"] = Z(lap(mu))
-        checks["balance"] = Z((mu - a) * cls.k + lap(b))
-    elif tag is NonlinearityTag.LINEAR:
-        checks["b_eigen"] = Z(lap(b) + b)
-        checks["mu_eigen"] = Z(sp.Rational(2 - n, 4) * lap(mu) + mu)
-        checks["a_shift_constant"] = _is_constant(
-            M, a - sp.Rational(2 - n, 4) * mu, pol)
-    elif tag is NonlinearityTag.EXPONENTIAL:
-        checks["mu_constant"] = _is_constant(M, mu, pol)
-        checks["a_zero"] = Z(a)
-        checks["b_is_minus_mu"] = Z(b + mu)
-    elif tag is NonlinearityTag.POWER:
-        checks["mu_constant"] = _is_constant(M, mu, pol)
-        checks["a_relation"] = Z(a - mu / (1 - cls.p))
-        checks["b_zero"] = Z(b)
-    elif tag is NonlinearityTag.CRITICAL:
-        checks["mu_harmonic"] = Z(lap(mu))
-        checks["a_relation"] = Z(a - sp.Rational(2 - n, 4) * mu)
-        checks["b_zero"] = Z(b)
-    elif tag is NonlinearityTag.P2N6:
-        checks["mu_biharmonic"] = Z(lap(lap(mu)))
-        checks["a_relation"] = Z(a + mu)
-        checks["b_relation"] = Z(b - lap(mu) / 2)
-    return checks
-
-
 def classify(M: MetricSpace, cls: NonlinearityClass, basis: AnsatzBasis,
-             options: SolverOptions = SolverOptions()) -> ClassificationTable:
-    result = solve_linear_ansatz(M, cls, basis, options)
+             seed: int = 7) -> ClassificationTable:
+    result = solve_linear_ansatz(M, cls, basis, seed)
     pol = M.policy()
     entries = []
-    for gen in result.generators:
-        mu = conformal_factor(M, gen.xi)
+    for gen, rep in zip(result.generators, result.reports):
+        mu = rep.mu
         if is_zero(mu, pol) is Verdict.ZERO:
             label = "Isometry"
         elif _is_constant(M, mu, pol):
             label = "Homothety"
         else:
             label = "ConformalKilling"
-        checks = _case_checks(M, cls, gen, mu)
+        checks = cls.side_checks(M, gen, mu)
         violations = [name for name, ok in checks.items() if not ok]
         entries.append(ClassifiedGenerator(gen, mu, label, cls.tag.value,
                                            checks, violations))

@@ -79,8 +79,7 @@ class MetricSpace:
 
     def sample_point(self, rng) -> dict[sp.Symbol, float]:
         pol = self.policy()
-        return {s: rng.uniform(*pol.box.get(s, pol.default_range))
-                for s in self.coords}
+        return {s: pol.draw(rng, s) for s in self.coords}
 
     def _check_nondegenerate(self):
         import random
@@ -240,11 +239,21 @@ def lie_derivative_metric(M: MetricSpace, xi: VectorField) -> sp.Matrix:
     return out
 
 
-def conformal_factor(M: MetricSpace, xi: VectorField) -> Expr:
-    """mu = trace(g^{-1} L_xi g) / n."""
+def conformal_residual(M: MetricSpace, xi: VectorField) -> tuple:
+    """(mu, L_xi g - mu g) with mu = trace(g^{-1} L_xi g) / n.
+
+    mu is normalized; the residual matrix is not, since its consumers either
+    normalize it, hand it to is_zero or compile it.
+    """
     lg = lie_derivative_metric(M, xi)
-    return normalize(sum(M.g_inv[i, j] * lg[j, i]
-                         for i in range(M.n) for j in range(M.n)) / M.n)
+    mu = normalize(sum(M.g_inv[i, j] * lg[j, i]
+                       for i in range(M.n) for j in range(M.n)) / M.n)
+    return mu, lg - mu * M.g
+
+
+def conformal_factor(M: MetricSpace, xi: VectorField) -> Expr:
+    """mu alone; see conformal_residual."""
+    return conformal_residual(M, xi)[0]
 
 
 def covariant_divergence(M: MetricSpace, xi: VectorField) -> Expr:
@@ -265,15 +274,13 @@ def conformal_check(M: MetricSpace, xi: VectorField,
                     seed: int = 1234) -> ConformalReport:
     """Classify xi as Killing / homothety / conformal Killing / none."""
     pol = M.policy(seed=seed)
-    lg = lie_derivative_metric(M, xi)
-    mu = normalize(sum(M.g_inv[i, j] * lg[j, i]
-                       for i in range(M.n) for j in range(M.n)) / M.n)
+    mu, residual = conformal_residual(M, xi)
     warnings = []
     max_res = 0.0
     conformal = True
     for i in range(M.n):
         for j in range(i, M.n):
-            res = lg[i, j] - mu * M.g[i, j]
+            res = residual[i, j]
             v = is_zero(res, pol)
             if v is Verdict.NONZERO:
                 conformal = False

@@ -15,9 +15,9 @@ Every variational/divergence symmetry yields a conserved current
 
     A^k = xi^k L + Q sqrt(g) g^{kj} u_j - phi^k,    Q = eta - xi^i u_i,
 
-whose total divergence equals sigma * sqrt(g) * Q * H with one global
-sign sigma, pinned once by the flat translation symmetry and then
-enforced everywhere.
+whose total divergence equals SIGMA * sqrt(g) * Q * H with the constant
+sign SIGMA = +1 (the Noether identity with E(L) = -sqrt(g) H); a test pins
+it on the flat translation current, where -SIGMA fails.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .detsys import (
 from .geom import (
     InternalConsistencyError,
     MetricSpace,
-    VectorField,
     conformal_factor,
     covariant_divergence,
     laplace_beltrami,
@@ -175,6 +174,10 @@ def divergence_potential(lag: Lagrangian, X: SymmetryGenerator,
                 for i in range(n)]
 
     gmu = grad_up(mu)
+    if cls.scaling:
+        gb = grad_up(X.b)
+        return [normalize(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2
+                          + sg * gb[i] * u) for i in range(n)]
     if tag in (NonlinearityTag.CRITICAL, NonlinearityTag.POWER):
         return [normalize(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2)
                 for i in range(n)]
@@ -182,11 +185,6 @@ def divergence_potential(lag: Lagrangian, X: SymmetryGenerator,
         glap = grad_up(laplace_beltrami(M, mu))
         return [normalize(-sg * gmu[i] * u**2 / 2 + sg * glap[i] * u)
                 for i in range(n)]
-    if tag in (NonlinearityTag.ZERO, NonlinearityTag.LINEAR,
-               NonlinearityTag.CONSTANT):
-        gb = grad_up(X.b)
-        return [normalize(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2
-                          + sg * gb[i] * u) for i in range(n)]
     return [sp.Integer(0)] * n
 
 
@@ -210,8 +208,7 @@ def noether_classify(lag: Lagrangian, X: SymmetryGenerator) -> NoetherVerdict:
         return NoetherVerdict(NoetherKind.DIVERGENCE, residual, phi,
                               warnings=warnings)
 
-    if cls.tag in (NonlinearityTag.ZERO, NonlinearityTag.LINEAR,
-                   NonlinearityTag.CONSTANT):
+    if cls.scaling:
         cexp = normalize(X.a - sp.Rational(2 - n, 4) * mu)
         grad_ok = all(is_zero(sp.diff(cexp, x), pol) is Verdict.ZERO
                       for x in M.coords)
@@ -271,54 +268,22 @@ def build_current(lag: Lagrangian, X: SymmetryGenerator,
     return ConservedCurrent(comps, X, lag.nonlinearity, phi)
 
 
-_SIGMA: int | None = None
-
-
-def characteristic_sign() -> int:
-    """Global sign in D_k A^k = sigma sqrt(g) Q H, pinned once by the flat
-    translation symmetry and frozen thereafter."""
-    global _SIGMA
-    if _SIGMA is not None:
-        return _SIGMA
-    M = MetricSpace(["x", "y", "z"],
-                    [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    cls = NonlinearityClass.arbitrary(M.table.u)
-    lag = Lagrangian(M, cls)
-    X = SymmetryGenerator(VectorField(M, [1, 0, 0]),
-                          sp.Integer(0), sp.Integer(0))
-    cur = build_current(lag, X)
-    div = total_divergence(M, cur.components)
-    T = M.table
-    Q = X.eta() - sum(X.xi[i] * T.jet1(i) for i in range(M.n))
-    H = poisson_equation(M, cls)
-    pol = M.policy()
-    for sigma in (1, -1):
-        res = sampling_ready(div - sigma * M.sqrt_det * Q * H, cls)
-        if is_zero(res, pol) is Verdict.ZERO:
-            _SIGMA = sigma
-            return sigma
-    raise InternalConsistencyError("no sign closes the characteristic identity")
+#: sign in D_k A^k = SIGMA sqrt(g) Q H
+SIGMA = 1
 
 
 def verify_current_symbolic(cur: ConservedCurrent) -> bool:
-    """Check D_k A^k = sigma sqrt(g) (eta - xi^k u_k) H identically in the
-    jet variables, with the frozen global sigma."""
+    """Check D_k A^k = SIGMA sqrt(g) (eta - xi^k u_k) H identically in the
+    jet variables."""
     M, X, cls = cur.space, cur.generator, cur.nonlinearity
     T = M.table
-    sigma = characteristic_sign()
     div = total_divergence(M, cur.components)
     Q = X.eta() - sum(X.xi[i] * T.jet1(i) for i in range(M.n))
     H = poisson_equation(M, cls)
-    res = sampling_ready(div - sigma * M.sqrt_det * Q * H, cls)
+    res = sampling_ready(div - SIGMA * M.sqrt_det * Q * H, cls)
     ok = is_zero(res, M.policy()) is Verdict.ZERO
     cur.symbolic_verified = ok
     return ok
-
-
-@dataclass
-class JetPoint:
-    values: dict                 # symbol -> float for x, u, u_i, u_{ij}
-    on_shell: bool
 
 
 @dataclass
@@ -364,12 +329,8 @@ def verify_current_numeric(cur: ConservedCurrent, samples: int = 100,
     made, attempts = 0, 0
     while made < samples and attempts < samples * 20:
         attempts += 1
-        vals = {}
-        for s in syms:
-            if s in M.coords:
-                vals[s] = rng.uniform(*pol.box.get(s, pol.default_range))
-            else:
-                vals[s] = rng.uniform(-2.0, 2.0)
+        # jets and opaque kernels fall outside the box: default range
+        vals = {s: pol.draw(rng, s) for s in syms}
         try:
             coef = fcoef(*[vals[s] for s in M.coords])
             if on_shell:

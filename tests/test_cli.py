@@ -53,6 +53,13 @@ def test_manifest_schema_errors():
         load_manifest({"manifold": {"coords": ["x", "y"],
                                     "box": {"w": [0, 1]}},
                        "metric": {"g": [["1", "0"], ["0", "1"]]}})
+    # a box entry must be [lo, hi] with finite numbers lo < hi
+    for rng in (5, ["a", "b"], [2, 1], ["nan", 1]):
+        with pytest.raises(InputError):
+            load_manifest({"manifold": {"coords": ["x", "y", "z"],
+                                        "box": {"z": rng}},
+                           "metric": {"g": [["1", "0", "0"], ["0", "1", "0"],
+                                            ["0", "0", "1"]]}})
 
 
 def test_manifest_file_workflow(tmp_path, capsys):
@@ -63,6 +70,24 @@ def test_manifest_file_workflow(tmp_path, capsys):
     assert code == EXIT_OK
     assert payload["scalar_curvature"] == "0"
     assert payload["christoffel"] == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ("curvature", "euclidean"),
+    ("curvature", "sol"),
+    ("curvature", "heisenberg"),
+    ("noether", "euclidean", "R13", "--class", "exponential"),
+])
+def test_geometry_matches_exported_manifest(argv, tmp_path, capsys):
+    """--geometry uses the fixture directly; its exported manifest must give
+    the same report (extra generators included)."""
+    command, name, *rest = argv
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(export_fixture(catalog.load(name))))
+    direct = run_json(capsys, command, "--geometry", name, *rest)
+    via_file = run_json(capsys, command, str(path), *rest)
+    assert direct[0] == via_file[0] == EXIT_OK
+    assert direct[1] == via_file[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import sympy as sp
 
 from poissonsym import catalog
 from poissonsym.detsys import (AnsatzBasis, DetSysError, NonlinearityClass,
-                               NonlinearityTag, SolverOptions,
-                               SymmetryGenerator, classify,
+                               NonlinearityTag, SymmetryGenerator, classify,
                                determining_residuals, poisson_equation,
                                scaling_gradient_residuals)
 from poissonsym.exprcore import Verdict, is_zero, normalize
@@ -210,8 +209,8 @@ def test_solver_deterministic(flat):
     M = flat.space
     cls = NonlinearityClass.arbitrary(M.table.u)
     basis = AnsatzBasis.from_strings(M, ["1", "x", "y", "z"])
-    t1 = classify(M, cls, basis, SolverOptions(seed=7))
-    t2 = classify(M, cls, basis, SolverOptions(seed=7))
+    t1 = classify(M, cls, basis, seed=7)
+    t2 = classify(M, cls, basis, seed=7)
     xi1 = [[normalize(c) for c in e.generator.xi.components] for e in t1.entries]
     xi2 = [[normalize(c) for c in e.generator.xi.components] for e in t2.entries]
     assert xi1 == xi2

@@ -9,14 +9,14 @@ import sympy as sp
 
 from poissonsym import catalog
 from poissonsym.detsys import (NonlinearityClass, SymmetryGenerator,
-                               sampling_ready)
+                               poisson_equation, sampling_ready)
 from poissonsym.exprcore import Verdict, is_zero, normalize
-from poissonsym.geom import VectorField
-from poissonsym.noether import (Lagrangian, NoetherError, NoetherKind,
-                                build_current, characteristic_sign,
-                                euler_lagrange, noether_classify,
-                                prolong_apply, total_derivative,
-                                total_divergence, verify_current_numeric,
+from poissonsym.geom import MetricSpace, VectorField
+from poissonsym.noether import (SIGMA, Lagrangian, NoetherError, NoetherKind,
+                                build_current, euler_lagrange,
+                                noether_classify, prolong_apply,
+                                total_derivative, total_divergence,
+                                verify_current_numeric,
                                 verify_current_symbolic)
 
 
@@ -192,8 +192,25 @@ def test_constant_case_with_u_shift_rejected(flat):
     assert noether_classify(lag, gen).kind is NoetherKind.NOT_NOETHER
 
 
-def test_characteristic_sign_pinned():
-    assert characteristic_sign() == 1
+def test_sigma_closes_flat_translation_identity():
+    """D_k A^k = SIGMA sqrt(g) Q H for the flat translation current, and
+    the opposite sign fails."""
+    M = MetricSpace(["x", "y", "z"], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    T = M.table
+    cls = NonlinearityClass.arbitrary(T.u)
+    X = SymmetryGenerator(VectorField(M, [1, 0, 0]),
+                          sp.Integer(0), sp.Integer(0))
+    cur = build_current(Lagrangian(M, cls), X)
+    div = total_divergence(M, cur.components)
+    Q = X.eta() - sum(X.xi[i] * T.jet1(i) for i in range(M.n))
+    H = poisson_equation(M, cls)
+
+    def verdict(sigma):
+        res = sampling_ready(div - sigma * M.sqrt_det * Q * H, cls)
+        return is_zero(res, M.policy())
+
+    assert verdict(SIGMA) is Verdict.ZERO
+    assert verdict(-SIGMA) is Verdict.NONZERO
 
 
 # ---------------------------------------------------------------------------
