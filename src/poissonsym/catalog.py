@@ -11,14 +11,11 @@ corrected.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-import numpy as np
 import sympy as sp
 
-from .exprcore import Verdict, eval_num, is_zero, parse
+from .exprcore import Verdict, is_zero, linear_relations, parse
 from .geom import (
     ConformalVerdict,
     MetricSpace,
@@ -736,30 +733,13 @@ class SuiteReport:
         return out
 
 
-def _stack_field(M: MetricSpace, comps, points):
-    vals = []
-    for pt in points:
-        for c in comps:
-            vals.append(eval_num(c, pt))
-    return vals
-
-
-def _span_solve(M: MetricSpace, basis_cols, target, seed=5, tol=1e-9):
-    """Least-squares membership of `target` in span(basis_cols), where each
-    entry is a tuple of expressions evaluated at common random points."""
-    rng = random.Random(seed)
-    points = [M.sample_point(rng) for _ in range(3 * max(4, len(basis_cols)))]
-    A = np.array([_stack_field(M, col, points) for col in basis_cols]).T
-    bvec = np.array(_stack_field(M, target, points))
-    coef, *_ = np.linalg.lstsq(A, bvec, rcond=None)
-    resid = float(np.linalg.norm(A @ coef - bvec))
-    scale = 1.0 + float(np.linalg.norm(bvec))
-    return coef, resid / scale
-
-
-def _rationalize(coef, max_den=10000):
-    return [sp.Rational(Fraction(float(c)).limit_denominator(max_den))
-            for c in coef]
+def _span_coefficients(cols, target):
+    """Rational c with target = sum_m c_m cols[m], or None when target is
+    not in the span."""
+    for rel in linear_relations(list(cols) + [target]):
+        if rel[-1] != 0:
+            return [-c / rel[-1] for c in rel[:-1]]
+    return None
 
 
 def _bracket_closure(fix: GeometryFixture, report: SuiteReport):
@@ -771,11 +751,10 @@ def _bracket_closure(fix: GeometryFixture, report: SuiteReport):
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             br = lie_bracket(fields[i], fields[j])
-            coef, resid = _span_solve(M, cols, tuple(br.components))
-            if resid > 1e-9:
-                failures.append(f"[{names[i]},{names[j]}] residual {resid:.2e}")
+            rc = _span_coefficients(cols, tuple(br.components))
+            if rc is None:
+                failures.append(f"[{names[i]},{names[j]}] not in the span")
                 continue
-            rc = _rationalize(coef)
             for k in range(M.n):
                 diff = br.components[k] - sum(
                     rc[m] * fields[m].components[k] for m in range(len(fields)))
@@ -825,15 +804,10 @@ def _run_class(fix: GeometryFixture, cname: str, report: SuiteReport,
     if cname == "arbitrary":
         cols = [tuple(e.generator.xi.components) + (e.generator.a, e.generator.b)
                 for e in table.entries]
-        missing = []
-        for name, fld in fix.killing.items():
-            target = tuple(fld.components) + (sp.Integer(0), sp.Integer(0))
-            if not cols:
-                missing.append(name)
-                continue
-            _, resid = _span_solve(M, cols, target)
-            if resid > 1e-9:
-                missing.append(f"{name} (residual {resid:.2e})")
+        missing = [name for name, fld in fix.killing.items()
+                   if _span_coefficients(cols, tuple(fld.components)
+                                         + (sp.Integer(0), sp.Integer(0)))
+                   is None]
         report.add("isometry_span", not missing, detail="; ".join(missing))
         report.add("isometry_labels",
                    all(e.label == "Isometry" for e in table.entries),
@@ -939,11 +913,7 @@ def run_fixture_suite(fixture, classes=DEFAULT_CLASSES,
 
     def independence():
         cols = [tuple(f.components) for f in fix.killing.values()]
-        rng = random.Random(11)
-        points = [M.sample_point(rng) for _ in range(3 * len(cols) + 4)]
-        A = np.array([_stack_field(M, col, points) for col in cols]).T
-        rank = int(np.linalg.matrix_rank(A, tol=1e-9 * max(
-            1.0, float(np.linalg.norm(A)))))
+        rank = len(cols) - len(linear_relations(cols))
         report.add("basis_independent", rank == len(cols),
                    detail=f"rank {rank} of {len(cols)}")
     guarded("basis_independent", independence)

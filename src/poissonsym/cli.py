@@ -62,7 +62,7 @@ def load_manifest(doc: dict) -> dict:
         raise InputError(f"manifest missing required key: {exc}") from None
     signature = man.get("signature", "riemannian")
     box = man.get("box") or {}
-    if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
+    if not _strings(coords):
         raise InputError("manifold.coords must be a list of strings")
     n = len(coords)
     if (not isinstance(g_rows, list) or len(g_rows) != n
@@ -84,9 +84,12 @@ def load_manifest(doc: dict) -> dict:
     except ExprError as exc:
         raise InputError(f"metric expression: {exc}") from exc
 
+    for key in ("vectorfields", "nonlinearity", "ansatz"):
+        if not isinstance(doc.get(key) or {}, dict):
+            raise InputError(f"{key} must be an object")
     fields = {}
     for name, comps in (doc.get("vectorfields") or {}).items():
-        if not isinstance(comps, list) or len(comps) != n:
+        if not _strings(comps) or len(comps) != n:
             raise InputError(f"vectorfield '{name}' needs {n} components")
         try:
             fields[name] = VectorField(
@@ -96,6 +99,8 @@ def load_manifest(doc: dict) -> dict:
 
     ansatz = None
     basis_texts = (doc.get("ansatz") or {}).get("basis")
+    if basis_texts is not None and not _strings(basis_texts):
+        raise InputError("ansatz.basis must be a list of strings")
     if basis_texts:
         try:
             ansatz = AnsatzBasis.from_strings(space, basis_texts)
@@ -104,6 +109,10 @@ def load_manifest(doc: dict) -> dict:
 
     return {"space": space, "vectorfields": fields,
             "nonlinearity": doc.get("nonlinearity"), "ansatz": ansatz}
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _box_range(rng):
@@ -304,7 +313,7 @@ def cmd_killing(args) -> int:
     if args.solve:
         basis = _basis_from(args, loaded)
         cls = NonlinearityClass.zero(M.table.u)
-        table = classify(M, cls, basis, args.seed)
+        table = classify(M, cls, basis)
         # the solve runs in the widest case (it admits every conformal
         # field); entries with xi = 0 are pure u-shifts, not vector fields
         entries = [e for e in table.entries
@@ -367,7 +376,7 @@ def cmd_classify(args) -> int:
     M = loaded["space"]
     cls = _nonlinearity_from(args, loaded)
     basis = _basis_from(args, loaded)
-    table = classify(M, cls, basis, args.seed)
+    table = classify(M, cls, basis)
     rows = _classify_rows(M, table)
     if args.json:
         print(json.dumps({"class": cls.tag.value, "dimension": len(rows),
@@ -591,19 +600,13 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ExprError, catalog.CatalogError) as exc:
+    except (InputError, ExprError, catalog.CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    except SymmetryError as exc:
-        print(f"symmetry error: {exc}", file=sys.stderr)
-        return EXIT_SYMMETRY
-    except (NoetherError, DetSysError) as exc:
+    except (SymmetryError, NoetherError, DetSysError) as exc:
         print(f"symmetry error: {exc}", file=sys.stderr)
         return EXIT_SYMMETRY
 

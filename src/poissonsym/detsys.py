@@ -13,23 +13,23 @@ place of the curvature term; the two agree for conformal xi because
 Delta_g mu = -(1/(n-1))(xi^i R_,i + mu R).
 
 `solve_linear_ansatz` reduces the system to exact linear algebra over a
-finite function basis: residuals are linear in the ansatz coefficients,
-so sampling them at enough points gives a matrix whose nullspace spans
-the candidate generators; candidates are then re-verified symbolically.
+finite function basis: the residuals are linear in the ansatz
+coefficients, so splitting them by monomial over independent kernels
+(`exprcore.linear_relations`) gives a linear system over QQ whose
+nullspace spans the candidate generators; candidates are then re-verified
+symbolically.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
-import numpy as np
 import sympy as sp
 
-from .exprcore import Expr, Verdict, is_zero, normalize, parse
+from .exprcore import (Expr, Verdict, is_zero, linear_relations, normalize,
+                       parse)
 from .geom import (
     GeometryError,
     MetricSpace,
@@ -107,7 +107,11 @@ class NonlinearityClass:
 
     @staticmethod
     def power(u: sp.Symbol, p, n: int) -> "NonlinearityClass":
-        p = sp.Rational(p)
+        try:
+            p = sp.Rational(str(p))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise DetSysError(f"power exponent must be rational, "
+                              f"not '{p}'") from None
         if p in (0, 1):
             raise DetSysError("power nonlinearity requires p not in {0, 1}")
         F = u**(p + 1) / (p + 1) if p != -1 else sp.log(u)
@@ -138,7 +142,7 @@ class NonlinearityClass:
                 u, None if k is None else parse(str(k), M.table)),
             "linear": lambda: NonlinearityClass.linear(u),
             "exponential": lambda: NonlinearityClass.exponential(u),
-            "power": lambda: NonlinearityClass.power(u, sp.nsimplify(p), n),
+            "power": lambda: NonlinearityClass.power(u, p, n),
             "critical": lambda: NonlinearityClass.power(
                 u, sp.Rational(n + 2, n - 2), n),
             "p2n6": lambda: NonlinearityClass.power(u, 2, 6),
@@ -301,12 +305,14 @@ class AnsatzBasis:
         return AnsatzBasis(monos)
 
     def __post_init__(self):
+        # keep the first maximal independent subset: f_k goes when a
+        # relation ends at k, i.e. starts at k over the reversed list
         funcs = [normalize(sp.sympify(f)) for f in self.functions]
-        if not funcs:
+        dependent = {len(funcs) - 1 - next(i for i, c in enumerate(rel) if c)
+                     for rel in linear_relations([(f,) for f in funcs[::-1]])}
+        self.functions = [f for k, f in enumerate(funcs) if k not in dependent]
+        if not self.functions:
             raise DetSysError("empty ansatz basis")
-        if len({sp.srepr(f) for f in funcs}) != len(funcs):
-            raise DetSysError("ansatz basis functions not pairwise distinct")
-        self.functions = funcs
 
     def __len__(self):
         return len(self.functions)
@@ -401,11 +407,6 @@ def scaling_gradient_residuals(M: MetricSpace, X: SymmetryGenerator) -> list:
 # ---------------------------------------------------------------------------
 # linear-ansatz solver
 
-_OVERSAMPLE = 3            # sample rows >= _OVERSAMPLE * unknowns
-_RANK_TOL = 1e-8           # relative singular-value cut for the nullspace
-_MAX_DENOMINATOR = 10000   # rationalization of the reduced nullspace rows
-
-
 @dataclass
 class SolveResult:
     generators: list               # symbolically verified
@@ -416,127 +417,48 @@ class SolveResult:
 
 
 def _unit_generators(M: MetricSpace, basis: AnsatzBasis, with_b: bool):
-    """One SymmetryGenerator per ansatz coefficient (coefficient set to 1)."""
-    zero = [sp.Integer(0)] * M.n
-    units = []
-    for i in range(M.n):
-        for phi in basis.functions:
-            comps = list(zero)
-            comps[i] = phi
-            units.append(SymmetryGenerator(VectorField(M, comps),
-                                           sp.Integer(0), sp.Integer(0)))
-    for phi in basis.functions:
-        units.append(SymmetryGenerator(VectorField(M, list(zero)),
-                                       phi, sp.Integer(0)))
-    if with_b:
-        for phi in basis.functions:
-            units.append(SymmetryGenerator(VectorField(M, list(zero)),
-                                           sp.Integer(0), phi))
-    return units
-
-
-def _compile_unit(M: MetricSpace, unit: SymmetryGenerator,
-                  cls: NonlinearityClass):
-    """Lambdified (S1)/(S2)/(S3) contributions of one unit coefficient."""
-    n, c = M.n, M.coords
-    _, res1, res2, res3, _ = _determining_equations(M, unit, cls)
-    r3 = sampling_ready(res3, cls)
-    extra = sorted((r3.free_symbols | {cls.u}) - set(c), key=str)
-    fns1 = [sp.lambdify(c, e, "math")
-            for e in [res1[i, j] for i in range(n) for j in range(i, n)]
-            + res2]
-    fn3 = sp.lambdify(list(c) + extra, r3, "math")
-    return fns1, fn3, [str(s) for s in extra]
+    """One SymmetryGenerator per ansatz coefficient (coefficient set to 1):
+    xi^0, ..., xi^(n-1), a, then b when with_b, each over the basis."""
+    def unit(slot, phi):
+        parts = [sp.Integer(0)] * (M.n + 2)
+        parts[slot] = phi
+        return SymmetryGenerator(VectorField(M, parts[:M.n]), *parts[M.n:])
+    return [unit(slot, phi) for slot in range(M.n + 1 + with_b)
+            for phi in basis.functions]
 
 
 def solve_linear_ansatz(M: MetricSpace, cls: NonlinearityClass,
-                        basis: AnsatzBasis, seed: int = 7) -> SolveResult:
+                        basis: AnsatzBasis) -> SolveResult:
     if M.n < 3:
         raise GeometryError("symmetry classification needs dimension n >= 3")
+    n = M.n
     units = _unit_generators(M, basis, cls.with_b)
-    U = len(units)
-    compiled = [_compile_unit(M, un, cls) for un in units]
-    extra_names = sorted({nm for _, _, names in compiled for nm in names})
-
-    rng = random.Random(seed)
-    pol = M.policy()
-    rows_per_point = M.n * (M.n + 1) // 2 + M.n + 1
-    n_points = max(2, (_OVERSAMPLE * U) // rows_per_point + 2)
-    rows = []
-    made = 0
-    while made < n_points:
-        pt = [pol.draw(rng, s) for s in M.coords]
-        extras = {nm: rng.uniform(-2.0, 2.0) for nm in extra_names}
-        extras.setdefault(str(cls.u), rng.uniform(-2.0, 2.0))
-        block = []
-        try:
-            for fns1, fn3, names in compiled:
-                col = [f(*pt) for f in fns1]
-                col.append(fn3(*pt, *[extras[nm] for nm in names]))
-                block.append(col)
-        except (ValueError, ZeroDivisionError, OverflowError, KeyError):
-            continue
-        if any(isinstance(v, complex) or not np.isfinite(v)
-               for col in block for v in col):
-            continue
-        rows.extend(np.array(block).T)   # rows: residuals, cols: unknowns
-        made += 1
-
-    A = np.array(rows, dtype=float)
-    _, sv, vt = np.linalg.svd(A)
-    tol = _RANK_TOL * (sv[0] if len(sv) and sv[0] > 0 else 1.0)
-    null = vt[[i for i in range(len(vt)) if i >= len(sv) or sv[i] <= tol]]
-    nullspace_dim = null.shape[0]
+    columns = []
+    for unit in units:
+        _, res1, res2, res3, _ = _determining_equations(M, unit, cls)
+        columns.append([res1[i, j] for i in range(n) for j in range(i, n)]
+                       + res2 + [res3])
+    null = linear_relations(columns)
 
     generators, reports, inconclusive = [], [], []
-    for vec in _canonical_rows(null):
-        gen = _vector_to_generator(M, basis, cls.with_b, vec)
+    for vec in null:
+        gen = _combine(M, units, vec)
         rep = determining_residuals(M, gen, cls)
         if rep.verdict:
             generators.append(gen)
             reports.append(rep)
         else:
             inconclusive.append(gen)
-    return SolveResult(generators, reports, inconclusive, basis, nullspace_dim)
+    return SolveResult(generators, reports, inconclusive, basis, len(null))
 
 
-def _canonical_rows(null: np.ndarray):
-    """Float RREF of the nullspace followed by rationalization; the true
-    solution spaces here have rational canonical bases, so the reduced rows
-    land on exact rationals (and are re-verified symbolically afterwards)."""
-    A = null.astype(float).copy()
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = max(range(r, rows), key=lambda i: abs(A[i, c]))
-        if abs(A[piv, c]) < 1e-10:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        A[r] /= A[r, c]
-        for i in range(rows):
-            if i != r:
-                A[i] -= A[i, c] * A[r]
-        r += 1
-    out = []
-    for i in range(r):
-        frs = [Fraction(v).limit_denominator(_MAX_DENOMINATOR) for v in A[i]]
-        out.append([sp.Rational(f.numerator, f.denominator) for f in frs])
-    return out
-
-
-def _vector_to_generator(M: MetricSpace, basis: AnsatzBasis, with_b: bool,
-                         vec) -> SymmetryGenerator:
-    B = len(basis)
-    comps = [normalize(sum(vec[i * B + m] * basis.functions[m]
-                           for m in range(B))) for i in range(M.n)]
-    a = normalize(sum(vec[M.n * B + m] * basis.functions[m] for m in range(B)))
-    b = sp.Integer(0)
-    if with_b:
-        b = normalize(sum(vec[(M.n + 1) * B + m] * basis.functions[m]
-                          for m in range(B)))
-    return SymmetryGenerator(VectorField(M, comps), a, b)
+def _combine(M: MetricSpace, units: list, vec) -> SymmetryGenerator:
+    """The generator sum_k vec[k] units[k] (normalized on construction)."""
+    def comb(part):
+        return sum(c * part(unit) for c, unit in zip(vec, units))
+    return SymmetryGenerator(
+        VectorField(M, [comb(lambda un: un.xi[i]) for i in range(M.n)]),
+        comb(lambda un: un.a), comb(lambda un: un.b))
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +490,9 @@ def _is_constant(M: MetricSpace, e: Expr, pol) -> bool:
     return all(is_zero(sp.diff(e, x), pol) is Verdict.ZERO for x in M.coords)
 
 
-def classify(M: MetricSpace, cls: NonlinearityClass, basis: AnsatzBasis,
-             seed: int = 7) -> ClassificationTable:
-    result = solve_linear_ansatz(M, cls, basis, seed)
+def classify(M: MetricSpace, cls: NonlinearityClass,
+             basis: AnsatzBasis) -> ClassificationTable:
+    result = solve_linear_ansatz(M, cls, basis)
     pol = M.policy()
     entries = []
     for gen, rep in zip(result.generators, result.reports):

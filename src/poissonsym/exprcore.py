@@ -3,19 +3,24 @@
 Thin, contract-enforcing layer over sympy: a fixed input grammar, exact
 rational constants, a normal form for rational expressions with opaque
 transcendental kernels, numeric evaluation that refuses to return NaN/Inf,
-and a sampling+canonicalization zero test.  Everything upstream (tensor
-calculus, determining equations, Noether machinery) speaks this dialect.
+a sampling+canonicalization zero test, and exact linear relations over QQ
+between tuples of expressions.  Everything upstream (tensor calculus,
+determining equations, Noether machinery) speaks this dialect.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from typing import Mapping, Sequence
 
 import sympy as sp
+from sympy.polys.fields import sfield
+from sympy.polys.matrices import DomainMatrix
 
 Expr = sp.Expr
 
@@ -322,7 +327,7 @@ class ZeroTestPolicy:
         return rng.uniform(lo, hi)
 
 
-def _sample(e: Expr, policy: ZeroTestPolicy):
+def sample(e: Expr, policy: ZeroTestPolicy):
     """Evaluate e (and a magnitude scale) at the policy's sample points."""
     free = sorted(e.free_symbols, key=str)
     terms = list(e.args) if e.is_Add else [e]
@@ -354,7 +359,7 @@ def is_zero(e: Expr, policy: ZeroTestPolicy | None = None) -> Verdict:
     if e.args:
         # cheap pre-screen: a sample clearly above the margin certifies
         # NonZero without paying for canonicalization of large expressions
-        values, scales = _sample(e, policy)
+        values, scales = sample(e, policy)
         if values and max(values) > policy.nonzero_margin * (1.0 + max(scales)):
             return Verdict.NONZERO
         if values and max(values) <= policy.abs_tol * (1.0 + max(scales)):
@@ -368,7 +373,7 @@ def is_zero(e: Expr, policy: ZeroTestPolicy | None = None) -> Verdict:
         return Verdict.ZERO
     if n.is_Number:
         return Verdict.NONZERO
-    values, scales = _sample(n, policy)
+    values, scales = sample(n, policy)
     if not values:
         return Verdict.INCONCLUSIVE
     scale = 1.0 + max(scales)
@@ -379,3 +384,101 @@ def is_zero(e: Expr, policy: ZeroTestPolicy | None = None) -> Verdict:
         if sp.simplify(n) == 0:
             return Verdict.ZERO
     return Verdict.INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# exact linear relations
+
+_TRIG = (sp.sin, sp.cos, sp.tan, sp.sinh, sp.cosh, sp.tanh)
+
+
+def _power_families(atoms, split):
+    """Map each atom to prod g_key^(r L_key), where split(atom) gives its
+    [(key, r)] with r rational, g_key is one new generator per key and L_key
+    the least common denominator of the key's r.  Returns the mapping and
+    {key: (g_key, L_key)}."""
+    parts = {a: split(a) for a in atoms}
+    lcd = {}
+    for key, r in itertools.chain(*parts.values()):
+        lcd[key] = sp.ilcm(lcd.get(key, 1), r.q)
+    gens = {key: (sp.Dummy("g"), L) for key, L in lcd.items()}
+    return {a: sp.Mul(*[gens[k][0] ** (r * gens[k][1]) for k, r in pairs])
+            for a, pairs in parts.items()}, gens
+
+
+def _independent_kernels(exprs):
+    """exprs over algebraically independent kernels, and the radical
+    relations [(R, L, b)] meaning R^L = b.
+
+    sin, cos, tan, sinh, cosh and tanh become exponentials (which may bring
+    in I), each family exp(r t) becomes powers of one generator exp(t/L),
+    each radical family b^(k/q) powers of one generator R = b^(1/L), and
+    logarithms are expanded.  Every step is an identity on the chart.
+    """
+    exprs = [sp.expand_log(sp.sympify(e).rewrite(_TRIG, sp.exp), force=True)
+             for e in exprs]
+    mapping, _ = _power_families(
+        set().union(*(e.atoms(sp.exp) for e in exprs)),
+        lambda a: [t.as_coeff_Mul(rational=True)[::-1]
+                   for t in sp.Add.make_args(sp.expand(a.args[0]))])
+    exprs = [e.xreplace(mapping) for e in exprs]
+    mapping, gens = _power_families(
+        {p for e in exprs for p in e.atoms(sp.Pow)
+         if p.exp.is_Rational and not p.exp.is_Integer},
+        lambda p: [(p.base, p.exp)])
+    exprs = [e.xreplace(mapping) for e in exprs]
+    return exprs, [(R, L, b.xreplace(mapping)) for b, (R, L) in gens.items()]
+
+
+def _cleared(fracs):
+    """Numerators over the least common denominator of fracs."""
+    den = reduce(lambda p, q: p.lcm(q), (f.denom for f in fracs))
+    return [f.numer * den.exquo(f.denom) for f in fracs]
+
+
+def _reduce_radical(K, p, i, L, b):
+    """p in K with each power R^(qL+r) of R = K.gens[i] replaced by R^r b^q."""
+    low, high = {}, K.zero
+    for mono, c in p.terms():
+        q, r = divmod(mono[i], L)
+        if q:
+            high += K(p.ring({mono[:i] + (r,) + mono[i + 1:]: c})) * b**q
+        else:
+            low[mono] = c
+    return K(p.ring(low)) + high
+
+
+def linear_relations(columns) -> list:
+    """RREF basis over QQ of {c : sum_k c_k columns[k] == 0 identically}.
+
+    Each column is a tuple of expressions, all of one length.  The entries
+    are brought over independent kernels into one rational function field;
+    each row is cleared of denominators, reduced modulo the radical
+    relations and split by monomial and into real and imaginary parts, which
+    leaves a linear system over QQ.  Every relation returned holds; all are
+    found when the remaining kernels are algebraically independent.
+    """
+    if not columns:
+        return []
+    width, height = len(columns), len(columns[0])
+    flat, radicals = _independent_kernels([e for col in columns for e in col])
+    exprs = flat + [b for _, _, b in radicals]
+    gaussian = any(e.has(sp.I) for e in exprs)
+    K, elems = sfield(exprs, domain=sp.QQ_I if gaussian else sp.QQ)
+    gens = K.ring.symbols
+    reductions = [(gens.index(R), L, b) for (R, L, _), b
+                  in zip(radicals, elems[len(flat):]) if R in gens]
+    parts = (lambda c: (c.x, c.y)) if gaussian else (lambda c: (c,))
+    equations = {}
+    for r in range(height):
+        polys = _cleared([elems[k * height + r] for k in range(width)])
+        for i, L, b in reductions:
+            polys = _cleared([_reduce_radical(K, p, i, L, b) for p in polys])
+        for k, p in enumerate(polys):
+            for mono, c in p.terms():
+                for part, v in enumerate(parts(c)):
+                    if v:
+                        equations.setdefault((r, mono, part), {})[k] = v
+    A = DomainMatrix(dict(enumerate(equations.values())),
+                     (len(equations), width), sp.QQ)
+    return A.nullspace().rref()[0].to_Matrix().tolist()

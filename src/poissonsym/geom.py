@@ -28,6 +28,7 @@ from .exprcore import (
     is_zero,
     normalize,
     parse,
+    sample,
 )
 
 
@@ -302,8 +303,7 @@ def conformal_check(M: MetricSpace, xi: VectorField,
 
 
 def _max_abs_sample(e: Expr, policy: ZeroTestPolicy) -> float:
-    from .exprcore import _sample
-    values, _ = _sample(normalize(e), policy)
+    values, _ = sample(normalize(e), policy)
     return max(values) if values else 0.0
 
 

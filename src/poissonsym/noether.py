@@ -22,14 +22,14 @@ it on the flat translation current, where -SIGMA fails.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
 import sympy as sp
 
-from .exprcore import Expr, Verdict, is_zero, normalize
+from .exprcore import Expr, Verdict, is_zero, normalize, sample
 from .detsys import (
     NonlinearityClass,
     NonlinearityTag,
@@ -134,8 +134,7 @@ def prolong_apply(lag: Lagrangian, X: SymmetryGenerator) -> Expr:
                 * M.sqrt_det * M.g_inv[i, s] * T.jet1(s)
     diff = sampling_ready(res - alt, cls)
     pol = M.policy()
-    from .exprcore import _sample
-    values, scales = _sample(sp.sympify(diff), pol)
+    values, scales = sample(sp.sympify(diff), pol)
     agree = bool(values) and max(values) <= pol.abs_tol * (1.0 + max(scales))
     if not agree and is_zero(diff, pol) is not Verdict.ZERO:
         raise InternalConsistencyError(
@@ -344,7 +343,7 @@ def verify_current_numeric(cur: ConservedCurrent, samples: int = 100,
             a_mag = max(abs(f(*args)) for f in fA)
         except (ValueError, ZeroDivisionError, OverflowError):
             continue
-        if not all(np.isfinite(v) and not isinstance(v, complex)
+        if not all(not isinstance(v, complex) and math.isfinite(v)
                    for v in (d, a_mag)):
             continue
         divs.append(abs(d))

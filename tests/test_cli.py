@@ -3,6 +3,9 @@ code contract (0 ok / 2 input / 3 geometry / 4 symmetry).  Commands run
 in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import sympy as sp
@@ -53,13 +56,20 @@ def test_manifest_schema_errors():
         load_manifest({"manifold": {"coords": ["x", "y"],
                                     "box": {"w": [0, 1]}},
                        "metric": {"g": [["1", "0"], ["0", "1"]]}})
+    flat = {"manifold": {"coords": ["x", "y", "z"]},
+            "metric": {"g": [["1", "0", "0"], ["0", "1", "0"],
+                             ["0", "0", "1"]]}}
     # a box entry must be [lo, hi] with finite numbers lo < hi
     for rng in (5, ["a", "b"], [2, 1], ["nan", 1]):
         with pytest.raises(InputError):
-            load_manifest({"manifold": {"coords": ["x", "y", "z"],
-                                        "box": {"z": rng}},
-                           "metric": {"g": [["1", "0", "0"], ["0", "1", "0"],
-                                            ["0", "0", "1"]]}})
+            load_manifest({**flat, "manifold": {"coords": ["x", "y", "z"],
+                                                "box": {"z": rng}}})
+    # the optional blocks are objects; expression lists hold strings
+    for extra in ({"nonlinearity": "power"}, {"ansatz": "x"},
+                  {"vectorfields": ["x"]}, {"vectorfields": {"D": [1, 2, 3]}},
+                  {"ansatz": {"basis": [1, 2]}}, {"ansatz": {"basis": "xy"}}):
+        with pytest.raises(InputError):
+            load_manifest({**flat, **extra})
 
 
 def test_manifest_file_workflow(tmp_path, capsys):
@@ -201,6 +211,27 @@ def test_missing_args_exit_2(capsys):
     code, _, _ = run(capsys, "noether", "--geometry", "euclidean",
                      "--class", "power", "R1")   # power without --p
     assert code == EXIT_INPUT
+    for p in ("abc", "1/0", "2.5.1", "nan"):     # not a rational exponent
+        code, _, err = run(capsys, "noether", "--geometry", "euclidean",
+                           "--class", "power", "--p", p, "R1")
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_commands_do_not_import_numpy():
+    script = (
+        "import sys\n"
+        "from poissonsym.cli import main\n"
+        "assert main(['classify', '--geometry', 'euclidean', '--class',"
+        " 'arbitrary', '--basis', '1,x,y,z']) == 0\n"
+        "assert main(['current', '--geometry', 'euclidean', '--class',"
+        " 'critical', 'R8', '--verify', '20']) == 0\n"
+        "assert 'numpy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_singular_metric_exit_3(tmp_path, capsys):

@@ -10,7 +10,7 @@ from poissonsym.detsys import (AnsatzBasis, DetSysError, NonlinearityClass,
                                determining_residuals, poisson_equation,
                                scaling_gradient_residuals)
 from poissonsym.exprcore import Verdict, is_zero, normalize
-from poissonsym.geom import VectorField
+from poissonsym.geom import MetricSpace, VectorField
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +209,8 @@ def test_solver_deterministic(flat):
     M = flat.space
     cls = NonlinearityClass.arbitrary(M.table.u)
     basis = AnsatzBasis.from_strings(M, ["1", "x", "y", "z"])
-    t1 = classify(M, cls, basis, seed=7)
-    t2 = classify(M, cls, basis, seed=7)
+    t1 = classify(M, cls, basis)
+    t2 = classify(M, cls, basis)
     xi1 = [[normalize(c) for c in e.generator.xi.components] for e in t1.entries]
     xi2 = [[normalize(c) for c in e.generator.xi.components] for e in t2.entries]
     assert xi1 == xi2
@@ -219,3 +219,46 @@ def test_solver_deterministic(flat):
 def test_empty_basis_rejected():
     with pytest.raises(DetSysError):
         AnsatzBasis([])
+
+
+@pytest.mark.parametrize("texts", [
+    ["1", "x", "y", "z", "x+y"],          # redundant
+    ["1", "x", "y", "z/20011"],           # scaled past any float cut-off
+])
+def test_redundant_or_scaled_basis_gives_six_isometries(flat, texts):
+    M = flat.space
+    cls = NonlinearityClass.arbitrary(M.table.u)
+    table = classify(M, cls, AnsatzBasis.from_strings(M, texts))
+    assert table.dimension == 6
+    assert not table.inconclusive
+
+
+def test_redundant_basis_keeps_first_independent_subset(flat):
+    basis = AnsatzBasis.from_strings(flat.space, ["1", "x", "2", "x+1", "y"])
+    assert [str(f) for f in basis.functions] == ["1", "x", "y"]
+
+
+def test_rational_scaling_of_basis_changes_nothing(flat):
+    M = flat.space
+    cls = NonlinearityClass.power(M.table.u, 5, 3)
+    plain = AnsatzBasis.polynomial(M, 2).functions
+    scaled = [f / 3 if f == M.coords[2] else f for f in plain]
+    tables = [classify(M, cls, AnsatzBasis(fs)) for fs in (plain, scaled)]
+    assert tables[0].dimension == tables[1].dimension == 10
+    labels = [sorted(e.label for e in t.entries) for t in tables]
+    assert labels[0] == labels[1]
+
+
+def test_exponential_rewrite_keeps_cosh_chart_isometries():
+    """diag(1, cosh(x)^2, 1) has 4 isometries in this basis; they are found
+    only when sinh, cosh and tanh are split as powers of exp(x), exp(y)."""
+    M = MetricSpace(["x", "y", "z"],
+                    [["1", "0", "0"], ["0", "cosh(x)^2", "0"],
+                     ["0", "0", "1"]])
+    basis = AnsatzBasis.from_strings(M, [
+        "1", "y", "z", "sinh(y)", "cosh(y)", "tanh(x)*sinh(y)",
+        "tanh(x)*cosh(y)"])
+    table = classify(M, NonlinearityClass.arbitrary(M.table.u), basis)
+    assert table.dimension == 4
+    assert not table.inconclusive
+    assert all(e.label == "Isometry" for e in table.entries)

@@ -1,5 +1,5 @@
 """Expression kernel: grammar, differentiation, normalization, numeric
-evaluation, and the three-valued zero test."""
+evaluation, the three-valued zero test and exact linear relations."""
 
 import math
 import random
@@ -9,8 +9,8 @@ import sympy as sp
 
 from poissonsym.exprcore import (EvaluationError, ParseError, SymbolTable,
                                  UnknownSymbolError, Verdict, ZeroTestPolicy,
-                                 diff, eval_num, is_zero, normalize, parse,
-                                 to_grammar)
+                                 diff, eval_num, is_zero, linear_relations,
+                                 normalize, parse, to_grammar)
 
 from conftest import PROPERTY_SEED
 
@@ -172,6 +172,32 @@ class TestIsZero:
         z = table.lookup("z")
         pol = ZeroTestPolicy(box={z: (0.5, 2.0)})
         assert is_zero(sp.log(z) - sp.log(z), pol) is Verdict.ZERO
+
+
+# ---------------------------------------------------------------------------
+# exact linear relations
+
+class TestLinearRelations:
+    @pytest.mark.parametrize("texts,relation", [
+        # exp(x) and exp(x/2) are powers of one generator
+        (("(exp(x/2)+1)^2", "exp(x)", "exp(x/2)", "1"), [1, -1, -2, -1]),
+        (("1", "sin(x)^2", "cos(x)^2"), [1, -1, -1]),
+        (("tan(2*x)", "2*tan(x)/(1-tan(x)^2)"), [1, -1]),
+        (("(x+1)/sqrt(x)", "sqrt(x)", "1/sqrt(x)"), [1, -1, -1]),
+        (("ln(x*y)", "ln(x)", "ln(y)"), [1, -1, -1]),
+    ])
+    def test_finds_relation(self, table, texts, relation):
+        columns = [(parse(t, table),) for t in texts]
+        assert linear_relations(columns) == [relation]
+
+    def test_independent_functions(self, table):
+        columns = [(parse(t, table),) for t in ("sin(x)", "cos(x)", "1")]
+        assert linear_relations(columns) == []
+
+    def test_rows_must_all_vanish(self, table):
+        x, y = table.lookup("x"), table.lookup("y")
+        columns = [(x, y), (2 * x, 2 * y), (x, -y)]
+        assert linear_relations(columns) == [[1, sp.Rational(-1, 2), 0]]
 
 
 # ---------------------------------------------------------------------------
