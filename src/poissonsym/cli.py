@@ -17,12 +17,11 @@ import json
 import math
 import sys
 
-from .exprcore import ExprError, Verdict, parse, to_grammar
+from .exprcore import ExprError, SymbolTable, Verdict, parse, to_grammar
 from .geom import (GeometryError, MetricSpace, VectorField, conformal_check,
                    conformal_factor)
 from .detsys import (AnsatzBasis, DetSysError, NonlinearityClass,
-                     SymmetryGenerator, classify, determining_residuals,
-                     sampling_ready)
+                     SymmetryGenerator, classify, determining_residuals)
 from .noether import (Lagrangian, NoetherError, NoetherKind, build_current,
                       noether_classify, verify_current_numeric,
                       verify_current_symbolic)
@@ -64,6 +63,10 @@ def load_manifest(doc: dict) -> dict:
     box = man.get("box") or {}
     if not _strings(coords):
         raise InputError("manifold.coords must be a list of strings")
+    try:
+        SymbolTable(coords)
+    except ExprError as exc:
+        raise InputError(str(exc)) from exc
     n = len(coords)
     if (not isinstance(g_rows, list) or len(g_rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in g_rows)):
@@ -79,8 +82,7 @@ def load_manifest(doc: dict) -> dict:
             raise InputError(f"bad box entry for '{name}': need [lo, hi], "
                              f"finite numbers with lo < hi")
     try:
-        space = MetricSpace(coords, g_rows, signature=signature, box=box_t,
-                            params=("F_val",))
+        space = MetricSpace(coords, g_rows, signature=signature, box=box_t)
     except ExprError as exc:
         raise InputError(f"metric expression: {exc}") from exc
 
@@ -405,7 +407,7 @@ def cmd_noether(args) -> int:
     verdict = noether_classify(lag, gen)
     out = {"field": args.field, "class": cls.tag.value,
            "verdict": verdict.kind.value,
-           "residual": to_grammar(sampling_ready(verdict.residual, cls))}
+           "residual": to_grammar(verdict.residual)}
     if verdict.potential is not None:
         out["potential"] = [to_grammar(p) for p in verdict.potential]
     if verdict.c is not None:
@@ -539,12 +541,29 @@ def _add_class_flags(p):
                    help="constant value for the constant class")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reads positionals after the options too, e.g. the field R13 in
+    `noether flat.json --class exponential R13`."""
+
+    _inner = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._inner:             # the intermixed parse calls back here
+            return super().parse_known_args(args, namespace)
+        self._inner = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._inner = False
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="poissonsym",
         description="Symmetry and conservation-law workbench for "
                     "Delta_g u + f(u) = 0 on Riemannian charts.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_SubcommandParser)
 
     p = sub.add_parser("curvature", help="Christoffels, Ricci, scalar curvature")
     _add_common(p)

@@ -28,8 +28,8 @@ from enum import Enum
 
 import sympy as sp
 
-from .exprcore import (Expr, Verdict, is_zero, linear_relations, normalize,
-                       parse)
+from .exprcore import (Expr, SymbolTable, Verdict, is_zero, linear_relations,
+                       normalize, parse)
 from .geom import (
     GeometryError,
     MetricSpace,
@@ -59,14 +59,13 @@ class NonlinearityTag(Enum):
 class NonlinearityClass:
     """A nonlinearity case tag together with f and its antiderivative F.
 
-    F is normalized by F(0) = 0.  For the arbitrary case f is kept as an
-    opaque kernel F'(u) of an undefined antiderivative F(u), so total
-    derivatives apply the chain rule; `opaque_substitutions` maps those
-    kernels to plain symbols for numeric sampling.
+    F is normalized by F(0) = 0.  For the arbitrary case F and f are the
+    reserved symbols F_val and f_val of the symbol table, whose
+    `SymbolTable.diff_u` applies the chain rule F -> f -> f'.
 
     This class is the case table: `named` builds a class from its name, and
-    `with_b`, `scaling`, `lift` and `side_checks` hold every rule that
-    depends on the case.
+    `with_b`, `scaling`, `lift`, `side_checks`, `potential` and
+    `scales_lagrangian` hold every rule that depends on the case.
     """
 
     tag: NonlinearityTag
@@ -78,8 +77,8 @@ class NonlinearityClass:
 
     @staticmethod
     def arbitrary(u: sp.Symbol) -> "NonlinearityClass":
-        F = sp.Function("F")(u)
-        return NonlinearityClass(NonlinearityTag.ARBITRARY, u, F.diff(u), F)
+        return NonlinearityClass(NonlinearityTag.ARBITRARY, u,
+                                 SymbolTable.f, SymbolTable.F)
 
     @staticmethod
     def zero(u: sp.Symbol) -> "NonlinearityClass":
@@ -223,23 +222,39 @@ class NonlinearityClass:
         return checks
 
     def fprime(self) -> Expr:
-        return sp.diff(self.f, self.u)
+        return SymbolTable.diff_u(self.f, self.u)
 
-    def opaque_substitutions(self) -> list:
-        """Replace undefined-function kernels by plain symbols (high
-        derivative order first) so expressions can be sampled numerically."""
-        if self.tag is not NonlinearityTag.ARBITRARY:
-            return []
-        F, u = self.F, self.u
-        return [(F.diff(u, 2), sp.Symbol("fprime_val", real=True)),
-                (F.diff(u), sp.Symbol("f_val", real=True)),
-                (F, sp.Symbol("F_val", real=True))]
+    def potential(self, M: MetricSpace, X: "SymmetryGenerator",
+                  mu: Expr) -> list:
+        """Closed-form Noether potential phi^i of X, whose conformal factor
+        is mu: X^(1)L + L D_i xi^i = D_i phi^i for a divergence symmetry."""
+        n, c, u = M.n, M.coords, self.u
+        sg = M.sqrt_det
 
+        def grad_up(e):
+            return [sum(M.g_inv[i, j] * sp.diff(e, c[j]) for j in range(n))
+                    for i in range(n)]
 
-def sampling_ready(e: Expr, cls: NonlinearityClass) -> Expr:
-    for old, new in cls.opaque_substitutions():
-        e = e.subs(old, new)
-    return e
+        gmu = grad_up(mu)
+        if self.tag is NonlinearityTag.P2N6:
+            glap = grad_up(laplace_beltrami(M, mu))
+            return [normalize(-sg * gmu[i] * u**2 / 2 + sg * glap[i] * u)
+                    for i in range(n)]
+        if not (self.scaling or self.tag in (NonlinearityTag.CRITICAL,
+                                             NonlinearityTag.POWER)):
+            return [sp.Integer(0)] * n
+        gb = grad_up(X.b) if self.scaling else [0] * n
+        return [normalize(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2
+                          + sg * gb[i] * u) for i in range(n)]
+
+    def scales_lagrangian(self, M: MetricSpace,
+                          X: "SymmetryGenerator") -> bool:
+        """Whether X may scale L (ScaledNonNoether): the u-scaling family
+        only, and for constant f = k only with b = 0, since b leaves the
+        term -sqrt(g) b k, which is no multiple of L."""
+        if self.tag is NonlinearityTag.CONSTANT:
+            return is_zero(X.b, M.policy()) is Verdict.ZERO
+        return self.scaling
 
 
 @dataclass
@@ -335,7 +350,7 @@ def poisson_equation(M: MetricSpace, cls: NonlinearityClass) -> Expr:
         sp.diff(sg * M.g_inv[i, j], M.coords[i]) * T.jet1(j)
         + sg * M.g_inv[i, j] * T.jet2(i, j)
         for i in range(n) for j in range(n)) / sg + cls.f
-    if is_zero(sampling_ready(H - div_form, cls), M.policy()) is not Verdict.ZERO:
+    if is_zero(H - div_form, M.policy()) is not Verdict.ZERO:
         raise DetSysError("Poisson equation forms disagree")
     cache[key] = H
     return H
@@ -374,7 +389,7 @@ def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
 
     v1 = [is_zero(res1[i, j], pol) for i in range(n) for j in range(i, n)]
     v2 = [is_zero(r, pol) for r in res2]
-    v3 = is_zero(sampling_ready(res3, cls), pol)
+    v3 = is_zero(res3, pol)
     conformal_ok = all(v is Verdict.ZERO for v in v1)
     # the equivalent form of (S3) carries ((2-n)/4)(Delta_g mu) u in place
     # of the curvature term; the two must agree whenever xi is conformal

@@ -59,21 +59,23 @@ class EvaluationError(ExprError):
 
 
 class SymbolTable:
-    """Coordinates, the dependent variable u, jet symbols and free parameters.
+    """Coordinates, the dependent variable u, jet symbols and the arbitrary
+    nonlinearity.
 
     Jet symbols follow the manifest convention: u, u_x, u_xx, u_xy, ...
     built from the coordinate names; u_xy and u_yx are the same symbol.
+    The arbitrary nonlinearity is three reserved jet-space symbols: F_val
+    (F), f_val (f = F') and fprime_val (f').  A coordinate may not take any
+    of these names, nor a grammar function name.
     """
 
-    def __init__(self, coords: Sequence[str], dependent: str = "u",
-                 params: Sequence[str] = ()):
-        names = list(coords) + [dependent] + list(params)
-        if len(set(names)) != len(names):
-            raise ExprError(f"duplicate symbol names in {names}")
-        self.coord_names = list(coords)
+    F = sp.Symbol("F_val", real=True)
+    f = sp.Symbol("f_val", real=True)
+    fprime = sp.Symbol("fprime_val", real=True)
+
+    def __init__(self, coords: Sequence[str], dependent: str = "u"):
         self.coords = [sp.Symbol(c, real=True) for c in coords]
         self.u = sp.Symbol(dependent, real=True)
-        self.params = [sp.Symbol(p, real=True) for p in params]
 
         n = len(coords)
         self.first_jets = [sp.Symbol(f"{dependent}_{c}", real=True)
@@ -84,21 +86,34 @@ class SymbolTable:
                 self.second_jets[(i, j)] = sp.Symbol(
                     f"{dependent}_{coords[i]}{coords[j]}", real=True)
 
-        self._by_name: dict[str, sp.Symbol] = {}
-        for name, sym in zip(coords, self.coords):
-            self._by_name[name] = sym
-        self._by_name[dependent] = self.u
-        for name, sym in zip(params, self.params):
-            self._by_name[name] = sym
-        for i, sym in enumerate(self.first_jets):
-            self._by_name[f"{dependent}_{coords[i]}"] = sym
-        for (i, j), sym in self.second_jets.items():
-            self._by_name[f"{dependent}_{coords[i]}{coords[j]}"] = sym
-            self._by_name[f"{dependent}_{coords[j]}{coords[i]}"] = sym
+        # every name has one owner (u_xy and u_yx share theirs); the
+        # grammar owns the function names
+        named = [(c, s, ("coord", i))
+                 for i, (c, s) in enumerate(zip(coords, self.coords))]
+        named += [(s.name, s, s.name)
+                  for s in (self.u, self.F, self.f, self.fprime)]
+        named += [(s.name, s, ("jet", i)) for i, s in enumerate(self.first_jets)]
+        named += [(f"{dependent}_{coords[a]}{coords[b]}", s, (i, j))
+                  for (i, j), s in self.second_jets.items()
+                  for a, b in ((i, j), (j, i))]
+        owners = dict.fromkeys(FUNCTIONS, "function")
+        for name, _, owner in named:
+            if owners.setdefault(name, owner) != owner:
+                raise ExprError(
+                    f"coordinates {list(coords)} clash on the name '{name}'; "
+                    f"a coordinate may not be {dependent}, a jet name, F_val, "
+                    f"f_val, fprime_val or a function name")
+        self._by_name = {name: s for name, s, _ in named}
 
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
+    @classmethod
+    def diff_u(cls, e: Expr, u: sp.Symbol) -> Expr:
+        """d/du with the chain rule F_val -> f_val -> fprime_val; fprime_val
+        has no derivative, as only (S3) holds it and nothing differentiates
+        (S3).  The has_free test skips two costly zero derivatives."""
+        d = sp.diff(e, u)
+        if e.has_free(cls.F, cls.f):
+            d += cls.f * sp.diff(e, cls.F) + cls.fprime * sp.diff(e, cls.f)
+        return d
 
     def lookup(self, name: str) -> sp.Symbol:
         try:

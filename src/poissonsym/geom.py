@@ -42,13 +42,12 @@ class InternalConsistencyError(GeometryError):
 
 class MetricSpace:
     def __init__(self, coord_names: Sequence[str], g, signature: str = "riemannian",
-                 box: dict[str, tuple[float, float]] | None = None,
-                 params: Sequence[str] = ()):
+                 box: dict[str, tuple[float, float]] | None = None):
         if signature not in ("riemannian", "lorentzian"):
             raise GeometryError(f"unknown signature '{signature}'")
         if len(coord_names) < 2:
             raise GeometryError("need dimension n >= 2")
-        self.table = SymbolTable(coord_names, params=params)
+        self.table = SymbolTable(coord_names)
         self.coords = self.table.coords
         self.n = len(self.coords)
         self.signature = signature

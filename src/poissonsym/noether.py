@@ -30,19 +30,12 @@ from enum import Enum
 import sympy as sp
 
 from .exprcore import Expr, Verdict, is_zero, normalize, sample
-from .detsys import (
-    NonlinearityClass,
-    NonlinearityTag,
-    SymmetryGenerator,
-    poisson_equation,
-    sampling_ready,
-)
+from .detsys import NonlinearityClass, SymmetryGenerator, poisson_equation
 from .geom import (
     InternalConsistencyError,
     MetricSpace,
     conformal_factor,
     covariant_divergence,
-    laplace_beltrami,
 )
 
 
@@ -66,9 +59,9 @@ class Lagrangian:
 
 def total_derivative(M: MetricSpace, e: Expr, k: int) -> Expr:
     """D_k on a jet expression in (x, u, u_i): D_k = d/dx^k + u_k d/du
-    + u_{ks} d/du_s."""
+    + u_{ks} d/du_s, with d/du applying the chain rule to F_val and f_val."""
     T = M.table
-    out = sp.diff(e, M.coords[k]) + T.jet1(k) * sp.diff(e, T.u)
+    out = sp.diff(e, M.coords[k]) + T.jet1(k) * T.diff_u(e, T.u)
     for s in range(M.n):
         out += T.jet2(k, s) * sp.diff(e, T.jet1(s))
     return out
@@ -83,13 +76,12 @@ def total_divergence(M: MetricSpace, comps) -> Expr:
 def euler_lagrange(lag: Lagrangian) -> Expr:
     """E(L) = dL/du - D_k dL/du_k; satisfies E(L) + sqrt(g) H = 0."""
     M, T = lag.space, lag.space.table
-    e = sp.diff(lag.L, T.u)
+    e = T.diff_u(lag.L, T.u)
     for k in range(M.n):
         e -= total_derivative(M, sp.diff(lag.L, T.jet1(k)), k)
     e = normalize(e)
     H = poisson_equation(M, lag.nonlinearity)
-    check = sampling_ready(e + M.sqrt_det * H, lag.nonlinearity)
-    if is_zero(check, M.policy()) is not Verdict.ZERO:
+    if is_zero(e + M.sqrt_det * H, M.policy()) is not Verdict.ZERO:
         raise InternalConsistencyError("E(L) + sqrt(g) H does not vanish")
     return e
 
@@ -105,7 +97,7 @@ def prolong_apply(lag: Lagrangian, X: SymmetryGenerator) -> Expr:
     # route 1: prolongation coefficients eta_i = a_i u + b_i
     #          + (a delta^j_i - xi^j_,i) u_j
     res = sum(xi[i] * sp.diff(lag.L, c[i]) for i in range(n))
-    res += eta * sp.diff(lag.L, u)
+    res += eta * T.diff_u(lag.L, u)
     for i in range(n):
         eta_i = sp.diff(a, c[i]) * u + sp.diff(b, c[i]) + a * T.jet1(i) \
             - sum(sp.diff(xi[j], c[i]) * T.jet1(j) for j in range(n))
@@ -132,7 +124,7 @@ def prolong_apply(lag: Lagrangian, X: SymmetryGenerator) -> Expr:
         for s in range(n):
             alt += (sp.diff(a, c[i]) * u + sp.diff(b, c[i])) \
                 * M.sqrt_det * M.g_inv[i, s] * T.jet1(s)
-    diff = sampling_ready(res - alt, cls)
+    diff = res - alt
     pol = M.policy()
     values, scales = sample(sp.sympify(diff), pol)
     agree = bool(values) and max(values) <= pol.abs_tol * (1.0 + max(scales))
@@ -158,35 +150,6 @@ class NoetherVerdict:
     warnings: list = field(default_factory=list)
 
 
-def divergence_potential(lag: Lagrangian, X: SymmetryGenerator,
-                         mu: Expr | None = None) -> list:
-    """Closed-form potential phi^i for the class of lag's nonlinearity."""
-    M, cls = lag.space, lag.nonlinearity
-    n, c, u = M.n, M.coords, M.table.u
-    if mu is None:
-        mu = conformal_factor(M, X.xi)
-    sg = M.sqrt_det
-    tag = cls.tag
-
-    def grad_up(e):
-        return [sum(M.g_inv[i, j] * sp.diff(e, c[j]) for j in range(n))
-                for i in range(n)]
-
-    gmu = grad_up(mu)
-    if cls.scaling:
-        gb = grad_up(X.b)
-        return [normalize(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2
-                          + sg * gb[i] * u) for i in range(n)]
-    if tag in (NonlinearityTag.CRITICAL, NonlinearityTag.POWER):
-        return [normalize(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2)
-                for i in range(n)]
-    if tag is NonlinearityTag.P2N6:
-        glap = grad_up(laplace_beltrami(M, mu))
-        return [normalize(-sg * gmu[i] * u**2 / 2 + sg * glap[i] * u)
-                for i in range(n)]
-    return [sp.Integer(0)] * n
-
-
 def noether_classify(lag: Lagrangian, X: SymmetryGenerator) -> NoetherVerdict:
     M, cls = lag.space, lag.nonlinearity
     n = M.n
@@ -194,32 +157,26 @@ def noether_classify(lag: Lagrangian, X: SymmetryGenerator) -> NoetherVerdict:
     warnings = []
     residual = prolong_apply(lag, X)
 
-    v = is_zero(sampling_ready(residual, cls), pol)
+    v = is_zero(residual, pol)
     if v is Verdict.ZERO:
         return NoetherVerdict(NoetherKind.VARIATIONAL, sp.Integer(0))
     if v is Verdict.INCONCLUSIVE:
         warnings.append("inconclusive zero test on the raw residual")
 
     mu = conformal_factor(M, X.xi)
-    phi = divergence_potential(lag, X, mu)
+    phi = cls.potential(M, X, mu)
     rem = residual - total_divergence(M, phi)
-    if is_zero(sampling_ready(rem, cls), pol) is Verdict.ZERO:
+    if is_zero(rem, pol) is Verdict.ZERO:
         return NoetherVerdict(NoetherKind.DIVERGENCE, residual, phi,
                               warnings=warnings)
 
-    if cls.scaling:
+    if cls.scales_lagrangian(M, X):
         cexp = normalize(X.a - sp.Rational(2 - n, 4) * mu)
         grad_ok = all(is_zero(sp.diff(cexp, x), pol) is Verdict.ZERO
                       for x in M.coords)
-        scaled = rem - 2 * cexp * lag.L
-        if cls.tag is NonlinearityTag.CONSTANT:
-            # a residual -sqrt(g) b k survives; only b = 0 can be scaled
-            scaled = scaled + M.sqrt_det * X.b * cls.k
-        if grad_ok and is_zero(sampling_ready(scaled, cls), pol) is Verdict.ZERO:
-            b_zero = is_zero(X.b, pol) is Verdict.ZERO
-            if cls.tag is not NonlinearityTag.CONSTANT or b_zero:
-                return NoetherVerdict(NoetherKind.SCALED_NON_NOETHER,
-                                      residual, phi, c=cexp, warnings=warnings)
+        if grad_ok and is_zero(rem - 2 * cexp * lag.L, pol) is Verdict.ZERO:
+            return NoetherVerdict(NoetherKind.SCALED_NON_NOETHER,
+                                  residual, phi, c=cexp, warnings=warnings)
     return NoetherVerdict(NoetherKind.NOT_NOETHER, residual,
                           warnings=warnings)
 
@@ -279,8 +236,7 @@ def verify_current_symbolic(cur: ConservedCurrent) -> bool:
     div = total_divergence(M, cur.components)
     Q = X.eta() - sum(X.xi[i] * T.jet1(i) for i in range(M.n))
     H = poisson_equation(M, cls)
-    res = sampling_ready(div - SIGMA * M.sqrt_det * Q * H, cls)
-    ok = is_zero(res, M.policy()) is Verdict.ZERO
+    ok = is_zero(div - SIGMA * M.sqrt_det * Q * H, M.policy()) is Verdict.ZERO
     cur.symbolic_verified = ok
     return ok
 
@@ -297,20 +253,19 @@ class NumericVerification:
 def _jet_lambdas(cur: ConservedCurrent):
     M, cls = cur.space, cur.nonlinearity
     T = M.table
-    div = sampling_ready(total_divergence(M, cur.components), cls)
-    H = sampling_ready(poisson_equation(M, cls), cls)
-    comps = [sampling_ready(c, cls) for c in cur.components]
+    div = total_divergence(M, cur.components)
+    H = poisson_equation(M, cls)
     syms = (list(M.coords) + [T.u] + list(T.first_jets)
             + list(T.second_jets.values()))
     extra = sorted((div.free_symbols | H.free_symbols
-                    | set().union(*[c.free_symbols for c in comps]))
+                    | set().union(*[c.free_symbols for c in cur.components]))
                    - set(syms), key=str)
     syms = syms + extra
     u11 = T.jet2(0, 0)
     fdiv = sp.lambdify(syms, div, "math")
     fH0 = sp.lambdify(syms, H.subs(u11, 0), "math")
     fcoef = sp.lambdify(M.coords, M.g_inv[0, 0], "math")
-    fA = [sp.lambdify(syms, c, "math") for c in comps]
+    fA = [sp.lambdify(syms, c, "math") for c in cur.components]
     return syms, u11, fdiv, fH0, fcoef, fA
 
 

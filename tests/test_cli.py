@@ -70,6 +70,14 @@ def test_manifest_schema_errors():
                   {"ansatz": {"basis": [1, 2]}}, {"ansatz": {"basis": "xy"}}):
         with pytest.raises(InputError):
             load_manifest({**flat, **extra})
+    # a coordinate may not reuse u, a jet name, the arbitrary nonlinearity's
+    # symbols or a function name
+    for coords in (["x", "y", "u_x"], ["x", "y", "u"], ["x", "y", "xy"],
+                   ["x", "y", "F_val"], ["x", "y", "f_val"],
+                   ["x", "y", "fprime_val"], ["x", "y", "exp"],
+                   ["x", "y", "sqrt"], ["x", "y", "x"]):
+        with pytest.raises(InputError):
+            load_manifest({**flat, "manifold": {"coords": coords}})
 
 
 def test_manifest_file_workflow(tmp_path, capsys):
@@ -87,6 +95,7 @@ def test_manifest_file_workflow(tmp_path, capsys):
     ("curvature", "sol"),
     ("curvature", "heisenberg"),
     ("noether", "euclidean", "R13", "--class", "exponential"),
+    ("noether", "euclidean", "--class", "exponential", "R13"),
 ])
 def test_geometry_matches_exported_manifest(argv, tmp_path, capsys):
     """--geometry uses the fixture directly; its exported manifest must give
@@ -169,6 +178,25 @@ def test_current_inline_field(capsys):
                                 "--class", "zero", "0,0,1", "--verify", "20")
     assert code == EXIT_OK
     assert payload["numeric_passed"]
+
+
+def test_arbitrary_class_output_round_trips(capsys):
+    """Arbitrary-class currents and residual reports print F_val, f_val and
+    fprime_val, which parse back under the grammar."""
+    code, payload, _ = run_json(capsys, "current", "--geometry", "sol",
+                                "--class", "arbitrary", "So1")
+    assert code == EXIT_OK
+    table = catalog.load("sol").space.table
+    for text in payload["component"]:
+        assert parse(text, table).has(table.lookup("F_val"))
+    code, _, err = run(capsys, "noether", "--geometry", "euclidean",
+                       "--class", "arbitrary", "R7")
+    assert code == EXIT_SYMMETRY
+    reports = [ln.split(" = ", 1)[1] for ln in err.splitlines() if " = " in ln]
+    assert reports
+    table = catalog.load("euclidean").space.table
+    for text in reports:
+        parse(text, table)
 
 
 def test_suite_single_geometry(capsys):

@@ -9,7 +9,7 @@ import sympy as sp
 
 from poissonsym import catalog
 from poissonsym.detsys import (NonlinearityClass, SymmetryGenerator,
-                               poisson_equation, sampling_ready)
+                               poisson_equation)
 from poissonsym.exprcore import Verdict, is_zero, normalize
 from poissonsym.geom import MetricSpace, VectorField
 from poissonsym.noether import (SIGMA, Lagrangian, NoetherError, NoetherKind,
@@ -58,6 +58,18 @@ def test_total_derivative_chain(flat):
                      - (T.u + x * T.jet1(0))) == 0
 
 
+def test_arbitrary_nonlinearity_is_jet_symbols(flat):
+    """F_val, f_val and fprime_val follow the chain rule F -> f -> f'."""
+    M = flat.space
+    T = M.table
+    F, f, fprime = (T.lookup(s) for s in ("F_val", "f_val", "fprime_val"))
+    assert total_derivative(M, F, 0) == f * T.jet1(0)
+    assert normalize(total_derivative(M, T.u * f, 1)
+                     - T.jet1(1) * (f + T.u * fprime)) == 0
+    cls = NonlinearityClass.arbitrary(T.u)
+    assert (cls.F, cls.f, cls.fprime()) == (F, f, fprime)
+
+
 def test_total_divergence_linearity(flat):
     M = flat.space
     T = M.table
@@ -91,8 +103,7 @@ def test_prolong_killing_annihilates_action_density(flat):
     gen = SymmetryGenerator(VectorField(M, [1, 0, 0]),
                             sp.Integer(0), sp.Integer(0))
     res = prolong_apply(lag, gen)
-    assert is_zero(sampling_ready(res, lag.nonlinearity),
-                   M.policy()) is Verdict.ZERO
+    assert is_zero(res, M.policy()) is Verdict.ZERO
 
 
 def test_prolong_exponential_dilation_residual_is_density(flat):
@@ -206,8 +217,7 @@ def test_sigma_closes_flat_translation_identity():
     H = poisson_equation(M, cls)
 
     def verdict(sigma):
-        res = sampling_ready(div - sigma * M.sqrt_det * Q * H, cls)
-        return is_zero(res, M.policy())
+        return is_zero(div - sigma * M.sqrt_det * Q * H, M.policy())
 
     assert verdict(SIGMA) is Verdict.ZERO
     assert verdict(-SIGMA) is Verdict.NONZERO
@@ -227,8 +237,7 @@ def test_translation_current_components(flat):
     expected = [(uy**2 + uz**2 - ux**2) / 2 - lag.nonlinearity.F,
                 -ux * uy, -ux * uz]
     for got, want in zip(cur.components, expected):
-        assert is_zero(sampling_ready(got - want, lag.nonlinearity),
-                       M.policy()) is Verdict.ZERO
+        assert is_zero(got - want, M.policy()) is Verdict.ZERO
 
 
 def test_current_verification_flat_translation(flat):
