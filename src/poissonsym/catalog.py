@@ -855,7 +855,6 @@ def reconcile_reference_tables(fix: GeometryFixture):
     per-component residual expressions).
     """
     M = fix.space
-    pol = M.policy()
     results = []
     for ref in fix.reference_currents:
         if ref.symmetry == "b":
@@ -868,12 +867,12 @@ def reconcile_reference_tables(fix: GeometryFixture):
             gen = fix.generator(ref.symmetry)
         lag = Lagrangian(M, cls)
         cur = build_current(lag, gen)
-        observed, residuals = [], []
-        for k in range(M.n):
-            diff = cur.components[k] - parse(ref.components[k], M.table)
-            residuals.append(diff)
-            observed.append(is_zero(diff, pol) is Verdict.ZERO)
-        results.append((ref, tuple(observed), residuals))
+        expected = [parse(c, M.table) for c in ref.components]
+        R = M.representation(*cur.components, *expected)
+        residuals = [a - b for a, b in zip(cur.components, expected)]
+        observed = tuple(R.zero(R.of(a) - R.of(b)) is Verdict.ZERO
+                         for a, b in zip(cur.components, expected))
+        results.append((ref, observed, residuals))
     return results
 
 

@@ -267,14 +267,14 @@ class SymmetryGenerator:
 
     def __post_init__(self):
         M = self.xi.space
-        jets = set(M.table.all_jets())
         fixed = []
         for e in (self.a, self.b):
             if isinstance(e, str):
                 e = parse(e, M.table)
             e = normalize(sp.sympify(e))
-            if e.free_symbols & jets:
-                raise DetSysError("a(x), b(x) must not depend on u or jets")
+            if not M.table.coordinate_only(e):
+                raise DetSysError("a(x), b(x) must not depend on u, jets or "
+                                  "F_val, f_val, fprime_val")
             fixed.append(e)
         self.a, self.b = fixed
 
@@ -305,7 +305,12 @@ class AnsatzBasis:
 
     @staticmethod
     def from_strings(M: MetricSpace, texts) -> "AnsatzBasis":
-        return AnsatzBasis([parse(t, M.table) for t in texts])
+        functions = [parse(t, M.table) for t in texts]
+        for t, f in zip(texts, functions):
+            if not M.table.coordinate_only(f):
+                raise DetSysError(f"basis function '{t}' depends on u, jets "
+                                  f"or F_val, f_val, fprime_val")
+        return AnsatzBasis(functions)
 
     @staticmethod
     def polynomial(M: MetricSpace, degree: int) -> "AnsatzBasis":

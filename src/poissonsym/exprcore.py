@@ -3,9 +3,10 @@
 Thin, contract-enforcing layer over sympy: a fixed input grammar, exact
 rational constants, a normal form for rational expressions with opaque
 transcendental kernels, numeric evaluation that refuses to return NaN/Inf,
-a sampling+canonicalization zero test, and exact linear relations over QQ
-between tuples of expressions.  Everything upstream (tensor calculus,
-determining equations, Noether machinery) speaks this dialect.
+a sampling+canonicalization zero test, exact linear relations over QQ
+between tuples of expressions, and the rational function field of a chart
+with its derivations.  Everything upstream (tensor calculus, determining
+equations, Noether machinery) speaks this dialect.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 import sympy as sp
-from sympy.polys.fields import sfield
+from sympy.polys.fields import FracElement, FracField, sfield
 from sympy.polys.matrices import DomainMatrix
 
 Expr = sp.Expr
@@ -66,14 +67,28 @@ class SymbolTable:
     built from the coordinate names; u_xy and u_yx are the same symbol.
     The arbitrary nonlinearity is three reserved jet-space symbols: F_val
     (F), f_val (f = F') and fprime_val (f').  A coordinate may not take any
-    of these names, nor a grammar function name.
+    of these names, nor a grammar function name, and each must be one
+    grammar identifier.
+
+    `field` is QQ(coords, u, jets, F_val, f_val, fprime_val), in which the
+    chart's rational jet expressions have an exact normal form.
     """
 
     F = sp.Symbol("F_val", real=True)
     f = sp.Symbol("f_val", real=True)
     fprime = sp.Symbol("fprime_val", real=True)
+    #: d/du of the reserved symbols: F' = f and f' = fprime
+    CHAIN = ((F, f), (f, fprime))
 
     def __init__(self, coords: Sequence[str], dependent: str = "u"):
+        for c in coords:
+            try:
+                tokens = _tokenize(c)
+            except ParseError:
+                tokens = []
+            if [t[:2] for t in tokens] != [("IDENT", c), ("EOF", "")]:
+                raise ExprError(f"coordinate name '{c}' is not an "
+                                f"identifier of the expression grammar")
         self.coords = [sp.Symbol(c, real=True) for c in coords]
         self.u = sp.Symbol(dependent, real=True)
 
@@ -104,6 +119,8 @@ class SymbolTable:
                     f"a coordinate may not be {dependent}, a jet name, F_val, "
                     f"f_val, fprime_val or a function name")
         self._by_name = {name: s for name, s, _ in named}
+        self._jet_space = {self.u, self.F, self.f, self.fprime,
+                           *self.first_jets, *self.second_jets.values()}
 
     @classmethod
     def diff_u(cls, e: Expr, u: sp.Symbol) -> Expr:
@@ -112,8 +129,67 @@ class SymbolTable:
         (S3).  The has_free test skips two costly zero derivatives."""
         d = sp.diff(e, u)
         if e.has_free(cls.F, cls.f):
-            d += cls.f * sp.diff(e, cls.F) + cls.fprime * sp.diff(e, cls.f)
+            d += sum(c * sp.diff(e, s) for s, c in cls.CHAIN)
         return d
+
+    def coordinate_only(self, e: Expr) -> bool:
+        """Whether e is free of u, the jets and the reserved F_val, f_val,
+        fprime_val, i.e. a function of the coordinates."""
+        return not (sp.sympify(e).free_symbols & self._jet_space)
+
+    # -- the rational function field -----------------------------------------
+
+    @cached_property
+    def field(self) -> FracField:
+        """QQ(coords, u, jets, F_val, f_val, fprime_val), built on first
+        use."""
+        return FracField(self.coords + self.all_jets()
+                         + [self.F, self.f, self.fprime], sp.QQ)
+
+    def to_field(self, e: Expr) -> FracElement | None:
+        """e as a field element, or None when e lies outside the field
+        (exp, trigonometric functions, non-integer powers, foreign
+        symbols)."""
+        try:
+            return self.field.from_expr(e)
+        except (ValueError, ZeroDivisionError):
+            return None
+
+    @cached_property
+    def _polys(self) -> dict:
+        """symbol -> the field ring's generator"""
+        ring = self.field.ring
+        return dict(zip(ring.symbols, ring.gens))
+
+    def _derivation(self, p: FracElement, vector) -> FracElement:
+        """sum_s c_s dp/ds over [(s, c_s)] with polynomial c_s; d/du also
+        acts on F_val and f_val by the chain rule."""
+        K, g = self.field, self._polys
+        terms = []
+        for s, c in vector:
+            terms.append((g[s], c))
+            if s == self.u:
+                terms += [(g[a], c * g[b]) for a, b in self.CHAIN]
+        num, den = p.numer, p.denom
+        dnum = sum((c * num.diff(x) for x, c in terms), K.ring.zero)
+        dden = sum((c * den.diff(x) for x, c in terms), K.ring.zero)
+        if not dden:
+            return K.new(dnum, den)
+        return K.new(dnum * den - num * dden, den ** 2)
+
+    def field_diff(self, p: FracElement, s: sp.Symbol) -> FracElement:
+        """dp/ds in the field; d/du carries the chain rule."""
+        return self._derivation(p, [(s, self.field.ring.one)])
+
+    def field_total_derivative(self, p: FracElement, k: int) -> FracElement:
+        """D_k p = dp/dx^k + u_k dp/du + u_{ks} dp/du_s in the field, with
+        d/du carrying the chain rule."""
+        g = self._polys
+        vector = [(self.coords[k], self.field.ring.one),
+                  (self.u, g[self.jet1(k)])]
+        vector += [(self.jet1(s), g[self.jet2(k, s)])
+                   for s in range(len(self.coords))]
+        return self._derivation(p, vector)
 
     def lookup(self, name: str) -> sp.Symbol:
         try:
@@ -135,6 +211,9 @@ class SymbolTable:
 # parsing
 
 _OPERATORS = set("+-*/^()")
+#: deepest nesting of parentheses, function calls, signs and exponents the
+#: parser accepts; deeper input is a ParseError, not a RecursionError
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -179,6 +258,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.table = table
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -218,14 +298,22 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
-        if self.peek()[0] == "-":
-            self.advance()
-            return -self.factor()
-        b = self.base()
-        if self.peek()[0] == "^":
-            self.advance()
-            return b ** self.factor()
-        return b
+        # every nested construct passes through here
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING}",
+                             self.peek()[2])
+        self.depth += 1
+        try:
+            if self.peek()[0] == "-":
+                self.advance()
+                return -self.factor()
+            b = self.base()
+            if self.peek()[0] == "^":
+                self.advance()
+                return b ** self.factor()
+            return b
+        finally:
+            self.depth -= 1
 
     def base(self) -> Expr:
         tok = self.advance()
@@ -282,7 +370,10 @@ def normalize(e: Expr) -> Expr:
     """
     e = sp.sympify(e)
     e = _normalize_function_args(e)
-    e = sp.powsimp(e, deep=True, combine="exp")
+    if e.has(sp.exp) or any(not p.exp.is_Number for p in e.atoms(sp.Pow)):
+        # powsimp only combines exponentials and powers with symbolic
+        # exponents; elsewhere it is a costly no-op
+        e = sp.powsimp(e, deep=True, combine="exp")
     return sp.cancel(e)
 
 

@@ -8,6 +8,13 @@ Christoffel symbols and curvature.  Sign conventions:
     R^i_s   = g^jk R^i_jks,   R = R^i_i
 
 so that hyperbolic 3-space has R = -6.
+
+Identities on a chart are computed in one of two representations, chosen
+per call by `MetricSpace.representation` from whether the inputs convert:
+`FieldRep`, the rational function field of the symbol table, where an
+identity holds exactly when its difference is zero, and `ExprRep`, sympy
+expressions decided by the sampled zero test `is_zero`.  A formula written
+once against their common methods runs in either.
 """
 
 from __future__ import annotations
@@ -181,10 +188,127 @@ class MetricSpace:
     def scalar_curvature(self) -> Expr:
         return normalize(sum(self.ricci[i][i] for i in range(self.n)))
 
+    # -- representations -----------------------------------------------------
+
+    @cached_property
+    def exprs(self) -> "ExprRep":
+        return ExprRep(self)
+
+    @cached_property
+    def _field(self) -> "FieldRep | None":
+        rep = FieldRep(self)
+        tensors = [*self.g_inv, self.sqrt_det] + [
+            e for block in self.christoffel for row in block for e in row]
+        return rep if all(rep.converts(e) for e in tensors) else None
+
+    def representation(self, *exprs) -> "ExprRep | FieldRep":
+        """The field representation when g^{-1}, sqrt g, the Christoffel
+        symbols and every expression given lie in the table's rational
+        function field; the Expr one otherwise."""
+        rep = self._field
+        if rep is not None and all(rep.converts(e) for e in exprs):
+            return rep
+        return self.exprs
+
+
+class ExprRep:
+    """Chart expressions as sympy Exprs; identities are decided by the
+    sampled zero test."""
+
+    def __init__(self, M: MetricSpace):
+        self.space, self.table = M, M.table
+        self.policy = M.policy()
+
+    def of(self, e) -> Expr:
+        return e
+
+    @cached_property
+    def g_inv(self) -> list:
+        return self.space.g_inv.tolist()
+
+    @property
+    def sqrt_det(self) -> Expr:
+        return self.space.sqrt_det
+
+    @property
+    def christoffel(self):
+        return self.space.christoffel
+
+    def normal(self, e) -> Expr:
+        return normalize(e)
+
+    def diff(self, e, s: sp.Symbol) -> Expr:
+        """de/ds; d/du carries the chain rule of the reserved symbols."""
+        T = self.table
+        return T.diff_u(e, s) if s == T.u else sp.diff(e, s)
+
+    def total_derivative(self, e, k: int) -> Expr:
+        """D_k = d/dx^k + u_k d/du + u_{ks} d/du_s on a jet expression."""
+        T = self.table
+        out = sp.diff(e, T.coords[k]) + T.jet1(k) * T.diff_u(e, T.u)
+        for s in range(len(T.coords)):
+            out += T.jet2(k, s) * sp.diff(e, T.jet1(s))
+        return out
+
+    def zero(self, e) -> Verdict:
+        return is_zero(e, self.policy)
+
+
+class FieldRep:
+    """Chart expressions as elements of the symbol table's rational function
+    field; an identity holds exactly when its difference is zero."""
+
+    def __init__(self, M: MetricSpace):
+        self.space, self.table = M, M.table
+        self._elements = {}
+
+    def converts(self, e) -> bool:
+        if e not in self._elements:
+            self._elements[e] = self.table.to_field(e)
+        return self._elements[e] is not None
+
+    def of(self, e):
+        """e in the field; every value derived from converted inputs by the
+        rational formulas of this package converts."""
+        if not self.converts(e):
+            raise InternalConsistencyError(
+                f"{e} lies outside the rational function field")
+        return self._elements[e]
+
+    def remember(self, e: Expr, p) -> None:
+        """Record p, computed in the field, as the element of e."""
+        self._elements[e] = p
+
+    @cached_property
+    def g_inv(self) -> list:
+        return [[self.of(e) for e in row] for row in self.space.g_inv.tolist()]
+
+    @cached_property
+    def sqrt_det(self):
+        return self.of(self.space.sqrt_det)
+
+    @cached_property
+    def christoffel(self):
+        return [[[self.of(e) for e in row] for row in block]
+                for block in self.space.christoffel]
+
+    def normal(self, e):
+        return e
+
+    def diff(self, e, s: sp.Symbol):
+        return self.table.field_diff(e, s)
+
+    def total_derivative(self, e, k: int):
+        return self.table.field_total_derivative(e, k)
+
+    def zero(self, e) -> Verdict:
+        return Verdict.NONZERO if e else Verdict.ZERO
+
 
 @dataclass
 class VectorField:
-    """Vector field with coordinate-only components (no u / jet dependence)."""
+    """Vector field with coordinate-only components (no u, jet or F_val,
+    f_val, fprime_val dependence)."""
 
     space: MetricSpace
     components: list
@@ -194,13 +318,13 @@ class VectorField:
         if len(self.components) != M.n:
             raise GeometryError("component count != chart dimension")
         comps = []
-        jets = set(M.table.all_jets())
         for c in self.components:
             if isinstance(c, str):
                 c = parse(c, M.table)
             c = normalize(sp.sympify(c))
-            if c.free_symbols & jets:
-                raise GeometryError("vector field depends on u or jet symbols")
+            if not M.table.coordinate_only(c):
+                raise GeometryError("vector field depends on u, jet symbols "
+                                    "or F_val, f_val, fprime_val")
             comps.append(c)
         self.components = comps
 
@@ -256,16 +380,20 @@ def conformal_factor(M: MetricSpace, xi: VectorField) -> Expr:
     return conformal_residual(M, xi)[0]
 
 
-def covariant_divergence(M: MetricSpace, xi: VectorField) -> Expr:
+def covariant_divergence(M: MetricSpace, xi: VectorField,
+                         rep: ExprRep | FieldRep | None = None):
     """div(xi) = xi^j_,j + Gamma^l_jl xi^j; cross-checked against the
-    (1/sqrt g)(sqrt g xi^j)_,j form."""
+    (1/sqrt g)(sqrt g xi^j)_,j form.  Computed in rep, Exprs by default."""
+    R = rep or M.exprs
     n, c = M.n, M.coords
-    direct = sum(sp.diff(xi[j], c[j]) for j in range(n)) + sum(
-        M.christoffel[l][j][l] * xi[j] for j in range(n) for l in range(n))
-    direct = normalize(direct)
-    sg = M.sqrt_det
-    alt = normalize(sum(sp.diff(sg * xi[j], c[j]) for j in range(n)) / sg)
-    if normalize(direct - alt) != 0 and is_zero(direct - alt, M.policy()) is Verdict.NONZERO:
+    xi = [R.of(e) for e in xi.components]
+    direct = sum(R.diff(xi[j], c[j]) for j in range(n)) + sum(
+        R.christoffel[l][j][l] * xi[j] for j in range(n) for l in range(n))
+    direct = R.normal(direct)
+    sg = R.sqrt_det
+    alt = R.normal(sum(R.diff(sg * xi[j], c[j]) for j in range(n)) / sg)
+    if (R.normal(direct - alt) != 0
+            and R.zero(direct - alt) is Verdict.NONZERO):
         raise InternalConsistencyError("divergence forms disagree")
     return direct
 

@@ -29,9 +29,11 @@ from enum import Enum
 
 import sympy as sp
 
-from .exprcore import Expr, Verdict, is_zero, normalize, sample
+from .exprcore import Expr, Verdict, is_zero, normalize
 from .detsys import NonlinearityClass, SymmetryGenerator, poisson_equation
 from .geom import (
+    ExprRep,
+    FieldRep,
     InternalConsistencyError,
     MetricSpace,
     conformal_factor,
@@ -60,17 +62,16 @@ class Lagrangian:
 def total_derivative(M: MetricSpace, e: Expr, k: int) -> Expr:
     """D_k on a jet expression in (x, u, u_i): D_k = d/dx^k + u_k d/du
     + u_{ks} d/du_s, with d/du applying the chain rule to F_val and f_val."""
-    T = M.table
-    out = sp.diff(e, M.coords[k]) + T.jet1(k) * T.diff_u(e, T.u)
-    for s in range(M.n):
-        out += T.jet2(k, s) * sp.diff(e, T.jet1(s))
-    return out
+    return M.exprs.total_derivative(e, k)
 
 
-def total_divergence(M: MetricSpace, comps) -> Expr:
-    # left unnormalized: every consumer either samples the result or feeds
-    # it to is_zero, which canonicalizes once
-    return sum(total_derivative(M, comps[k], k) for k in range(M.n))
+def total_divergence(M: MetricSpace, comps,
+                     rep: ExprRep | FieldRep | None = None):
+    """D_k comps[k], computed in rep (Exprs by default).  Exprs are left
+    unnormalized: every consumer either samples the result or feeds it to
+    is_zero, which canonicalizes once."""
+    R = rep or M.exprs
+    return sum(R.total_derivative(comps[k], k) for k in range(M.n))
 
 
 def euler_lagrange(lag: Lagrangian) -> Expr:
@@ -86,52 +87,81 @@ def euler_lagrange(lag: Lagrangian) -> Expr:
     return e
 
 
-def prolong_apply(lag: Lagrangian, X: SymmetryGenerator) -> Expr:
-    """X^(1)L + L D_i xi^i, computed from the explicit first-prolongation
-    coefficients and cross-checked against the covariant closed form."""
-    M, T, cls = lag.space, lag.space.table, lag.nonlinearity
-    n, c, u = M.n, M.coords, T.u
-    a, b, xi = X.a, X.b, X.xi
+def _prolongation(R, lag: Lagrangian, X: SymmetryGenerator):
+    """X^(1)L + L D_i xi^i in R from the explicit first-prolongation
+    coefficients eta_i = a_i u + b_i + (a delta^j_i - xi^j_,i) u_j."""
+    M, T = lag.space, lag.space.table
+    n, c = M.n, M.coords
+    L, a, b = R.of(lag.L), R.of(X.a), R.of(X.b)
+    xi = [R.of(e) for e in X.xi.components]
+    u, uj = R.of(T.u), [R.of(s) for s in T.first_jets]
     eta = a * u + b
 
-    # route 1: prolongation coefficients eta_i = a_i u + b_i
-    #          + (a delta^j_i - xi^j_,i) u_j
-    res = sum(xi[i] * sp.diff(lag.L, c[i]) for i in range(n))
-    res += eta * T.diff_u(lag.L, u)
+    res = sum(xi[i] * R.diff(L, c[i]) for i in range(n))
+    res += eta * R.diff(L, T.u)
     for i in range(n):
-        eta_i = sp.diff(a, c[i]) * u + sp.diff(b, c[i]) + a * T.jet1(i) \
-            - sum(sp.diff(xi[j], c[i]) * T.jet1(j) for j in range(n))
-        res += eta_i * sp.diff(lag.L, T.jet1(i))
-    res += lag.L * sum(sp.diff(xi[i], c[i]) for i in range(n))
+        eta_i = R.diff(a, c[i]) * u + R.diff(b, c[i]) + a * uj[i] \
+            - sum(R.diff(xi[j], c[i]) * uj[j] for j in range(n))
+        res += eta_i * R.diff(L, T.jet1(i))
+    res += L * sum(R.diff(xi[i], c[i]) for i in range(n))
+    return res
 
-    # route 2: covariant closed form
-    div = covariant_divergence(M, xi)
-    grad_xi = [[sum(M.g_inv[k, i] * (sp.diff(xi[s], c[i])
-                                     + sum(M.christoffel[s][i][l] * xi[l]
-                                           for l in range(n)))
+
+def _covariant_prolongation(R, lag: Lagrangian, X: SymmetryGenerator):
+    """X^(1)L + L D_i xi^i in R from the covariant closed form."""
+    M, T, cls = lag.space, lag.space.table, lag.nonlinearity
+    n, c = M.n, M.coords
+    a, b, F, f = R.of(X.a), R.of(X.b), R.of(cls.F), R.of(cls.f)
+    xi = [R.of(e) for e in X.xi.components]
+    u, uj = R.of(T.u), [R.of(s) for s in T.first_jets]
+    gi, sg, gam = R.g_inv, R.sqrt_det, R.christoffel
+
+    div = covariant_divergence(M, X.xi, R)
+    grad_xi = [[sum(gi[k][i] * (R.diff(xi[s], c[i])
+                                + sum(gam[s][i][l] * xi[l] for l in range(n)))
                     for i in range(n))
                 for s in range(n)] for k in range(n)]   # nabla^k xi^s
     alt = 0
     for k in range(n):
         for s in range(n):
-            alt += sp.Rational(1, 2) * (M.g_inv[k, s] * div
-                                        + 2 * a * M.g_inv[k, s]
+            alt += sp.Rational(1, 2) * (gi[k][s] * div + 2 * a * gi[k][s]
                                         - grad_xi[k][s] - grad_xi[s][k]) \
-                * M.sqrt_det * T.jet1(k) * T.jet1(s)
-    alt += (-M.sqrt_det * div * cls.F - M.sqrt_det * a * u * cls.f
-            - M.sqrt_det * b * cls.f)
+                * sg * uj[k] * uj[s]
+    alt += -sg * div * F - sg * a * u * f - sg * b * f
     for i in range(n):
         for s in range(n):
-            alt += (sp.diff(a, c[i]) * u + sp.diff(b, c[i])) \
-                * M.sqrt_det * M.g_inv[i, s] * T.jet1(s)
-    diff = res - alt
-    pol = M.policy()
-    values, scales = sample(sp.sympify(diff), pol)
-    agree = bool(values) and max(values) <= pol.abs_tol * (1.0 + max(scales))
-    if not agree and is_zero(diff, pol) is not Verdict.ZERO:
+            alt += (R.diff(a, c[i]) * u + R.diff(b, c[i])) \
+                * sg * gi[i][s] * uj[s]
+    return alt
+
+
+def _representation(lag: Lagrangian, X: SymmetryGenerator):
+    """The representation of the Noether test of X: the field when L, X, F
+    and f all convert."""
+    cls = lag.nonlinearity
+    return lag.space.representation(lag.L, *X.xi.components, X.a, X.b,
+                                    cls.F, cls.f)
+
+
+def prolong_apply(lag: Lagrangian, X: SymmetryGenerator) -> Expr:
+    """X^(1)L + L D_i xi^i as an Expr, computed from the explicit
+    first-prolongation coefficients and cross-checked against the covariant
+    closed form in the representation of the Noether test.  In the field an
+    exact zero is returned as 0, and any other value is remembered as the
+    element of its Expr form."""
+    M = lag.space
+    R = _representation(lag, X)
+    res = _prolongation(R, lag, X)
+    if R.zero(res - _covariant_prolongation(R, lag, X)) is not Verdict.ZERO:
         raise InternalConsistencyError(
             "prolongation routes disagree for X^(1)L + L D_i xi^i")
-    return res
+    if R is M.exprs:
+        return res
+    if not res:
+        return sp.Integer(0)
+    expr = _prolongation(M.exprs, lag, X)
+    R.remember(expr, res)
+    return expr
 
 
 class NoetherKind(Enum):
@@ -151,13 +181,16 @@ class NoetherVerdict:
 
 
 def noether_classify(lag: Lagrangian, X: SymmetryGenerator) -> NoetherVerdict:
+    """The four-way verdict; every test runs in the representation of
+    prolong_apply, and the reported residual is its Expr value."""
     M, cls = lag.space, lag.nonlinearity
     n = M.n
-    pol = M.policy()
     warnings = []
     residual = prolong_apply(lag, X)
+    R = _representation(lag, X)
+    res = R.of(residual)
 
-    v = is_zero(residual, pol)
+    v = R.zero(res)
     if v is Verdict.ZERO:
         return NoetherVerdict(NoetherKind.VARIATIONAL, sp.Integer(0))
     if v is Verdict.INCONCLUSIVE:
@@ -165,16 +198,16 @@ def noether_classify(lag: Lagrangian, X: SymmetryGenerator) -> NoetherVerdict:
 
     mu = conformal_factor(M, X.xi)
     phi = cls.potential(M, X, mu)
-    rem = residual - total_divergence(M, phi)
-    if is_zero(rem, pol) is Verdict.ZERO:
+    rem = res - total_divergence(M, [R.of(e) for e in phi], R)
+    if R.zero(rem) is Verdict.ZERO:
         return NoetherVerdict(NoetherKind.DIVERGENCE, residual, phi,
                               warnings=warnings)
 
     if cls.scales_lagrangian(M, X):
         cexp = normalize(X.a - sp.Rational(2 - n, 4) * mu)
-        grad_ok = all(is_zero(sp.diff(cexp, x), pol) is Verdict.ZERO
-                      for x in M.coords)
-        if grad_ok and is_zero(rem - 2 * cexp * lag.L, pol) is Verdict.ZERO:
+        c = R.of(cexp)
+        grad_ok = all(R.zero(R.diff(c, x)) is Verdict.ZERO for x in M.coords)
+        if grad_ok and R.zero(rem - 2 * c * R.of(lag.L)) is Verdict.ZERO:
             return NoetherVerdict(NoetherKind.SCALED_NON_NOETHER,
                                   residual, phi, c=cexp, warnings=warnings)
     return NoetherVerdict(NoetherKind.NOT_NOETHER, residual,
@@ -212,7 +245,7 @@ def build_current(lag: Lagrangian, X: SymmetryGenerator,
         raise NoetherError(f"no conserved current: symmetry is {verdict.kind.value}")
     M, T = lag.space, lag.space.table
     n = M.n
-    Q = X.eta() - sum(X.xi[i] * T.jet1(i) for i in range(n))
+    Q = _characteristic(M.exprs, X)
     phi = verdict.potential or [sp.Integer(0)] * n
     comps = []
     for k in range(n):
@@ -224,19 +257,26 @@ def build_current(lag: Lagrangian, X: SymmetryGenerator,
     return ConservedCurrent(comps, X, lag.nonlinearity, phi)
 
 
+def _characteristic(R, X: SymmetryGenerator):
+    """Q = eta - xi^i u_i in R."""
+    T = X.space.table
+    return R.of(X.eta()) - sum(R.of(X.xi[i]) * R.of(T.jet1(i))
+                               for i in range(X.space.n))
+
+
 #: sign in D_k A^k = SIGMA sqrt(g) Q H
 SIGMA = 1
 
 
 def verify_current_symbolic(cur: ConservedCurrent) -> bool:
     """Check D_k A^k = SIGMA sqrt(g) (eta - xi^k u_k) H identically in the
-    jet variables."""
+    jet variables, in the field when the current, X and H convert."""
     M, X, cls = cur.space, cur.generator, cur.nonlinearity
-    T = M.table
-    div = total_divergence(M, cur.components)
-    Q = X.eta() - sum(X.xi[i] * T.jet1(i) for i in range(M.n))
     H = poisson_equation(M, cls)
-    ok = is_zero(div - SIGMA * M.sqrt_det * Q * H, M.policy()) is Verdict.ZERO
+    R = M.representation(*cur.components, *X.xi.components, X.eta(), H)
+    div = total_divergence(M, [R.of(e) for e in cur.components], R)
+    Q = _characteristic(R, X)
+    ok = R.zero(div - SIGMA * R.sqrt_det * Q * R.of(H)) is Verdict.ZERO
     cur.symbolic_verified = ok
     return ok
 

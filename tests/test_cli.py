@@ -75,9 +75,18 @@ def test_manifest_schema_errors():
     for coords in (["x", "y", "u_x"], ["x", "y", "u"], ["x", "y", "xy"],
                    ["x", "y", "F_val"], ["x", "y", "f_val"],
                    ["x", "y", "fprime_val"], ["x", "y", "exp"],
-                   ["x", "y", "sqrt"], ["x", "y", "x"]):
+                   ["x", "y", "sqrt"], ["x", "y", "x"],
+                   # nor anything but one grammar identifier
+                   ["x", "y", "z w"], ["x", "y", "1x"], ["x", "y", ""],
+                   ["x", "y", "x-y"]):
         with pytest.raises(InputError):
             load_manifest({**flat, "manifold": {"coords": coords}})
+    # nesting depth is bounded: a parse error, not a RecursionError
+    deep = "(" * 3000 + "1" + ")" * 3000
+    with pytest.raises(InputError, match="nested deeper"):
+        load_manifest({**flat, "metric": {"g": [[deep, "0", "0"],
+                                                ["0", "1", "0"],
+                                                ["0", "0", "1"]]}})
 
 
 def test_manifest_file_workflow(tmp_path, capsys):
@@ -242,6 +251,14 @@ def test_missing_args_exit_2(capsys):
     for p in ("abc", "1/0", "2.5.1", "nan"):     # not a rational exponent
         code, _, err = run(capsys, "noether", "--geometry", "euclidean",
                            "--class", "power", "--p", p, "R1")
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # F_val is no coordinate function: not in a field, not in a basis
+    for argv in (("noether", "--geometry", "euclidean", "--class", "zero",
+                  "F_val,0,0"),
+                 ("killing", "--geometry", "euclidean", "--solve",
+                  "--basis", "1,x,F_val")):
+        code, _, err = run(capsys, *argv)
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -9,8 +9,9 @@ import sympy as sp
 
 from poissonsym.exprcore import (EvaluationError, ParseError, SymbolTable,
                                  UnknownSymbolError, Verdict, ZeroTestPolicy,
-                                 diff, eval_num, is_zero, linear_relations,
-                                 normalize, parse, to_grammar)
+                                 _normalize_function_args, diff, eval_num,
+                                 is_zero, linear_relations, normalize, parse,
+                                 to_grammar)
 
 from conftest import PROPERTY_SEED
 
@@ -113,6 +114,30 @@ class TestNormalize:
         for e in exprs:
             n = normalize(e)
             assert normalize(n) == n
+
+    def test_powsimp_is_skipped_only_where_it_cannot_act(
+            self, table, property_expressions):
+        """The normal form with powsimp always applied is the reference."""
+        x, a, b = table.lookup("x"), table.lookup("y"), table.lookup("z")
+        _, exprs = property_expressions
+        for e in exprs + [x**a * x**b, sp.exp(a) * sp.exp(b)]:
+            reference = sp.cancel(sp.powsimp(_normalize_function_args(e),
+                                             deep=True, combine="exp"))
+            assert normalize(e) == reference
+
+
+class TestField:
+    def test_rational_expressions_convert(self, table):
+        x, z = table.lookup("x"), table.lookup("z")
+        p = table.to_field(parse("(x^2 + u_x)/(1 + z^2)^3 - F_val", table))
+        assert p.numer.ring is table.field.ring
+        assert table.field_diff(p, x) == table.to_field(
+            2 * x / (1 + z**2)**3)
+
+    def test_outside_the_field_is_none(self, table):
+        for text in ("exp(x)", "sin(y)", "sqrt(1 + x^2)", "x^(1/3)", "ln(z)"):
+            assert table.to_field(parse(text, table)) is None
+        assert table.to_field(sp.Symbol("k") * table.lookup("x")) is None
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ def test_arbitrary_nonlinearity_is_jet_symbols(flat):
                      - T.jet1(1) * (f + T.u * fprime)) == 0
     cls = NonlinearityClass.arbitrary(T.u)
     assert (cls.F, cls.f, cls.fprime()) == (F, f, fprime)
+    # the same chain rule on the rational function field
+    K = T.to_field
+    assert T.field_total_derivative(K(F), 0) == K(f * T.jet1(0))
+    assert T.field_total_derivative(K(T.u * f), 1) \
+        == K(T.jet1(1) * (f + T.u * fprime))
 
 
 def test_total_divergence_linearity(flat):
@@ -269,13 +274,42 @@ def test_current_verification_critical_conformal(flat):
 
 
 def test_mutated_current_fails_symbolic_check(flat):
-    lag = lagrangian(flat, "linear")
+    """A wrong current is rejected in the field (flat, sphere3 S1) and on
+    the sampled route (sol So2)."""
+    sphere3, sol = catalog.load("sphere3"), catalog.load("sol")
     M = flat.space
-    gen = SymmetryGenerator(VectorField(M, [1, 0, 0]),
-                            sp.Integer(0), sp.Integer(0))
-    cur = build_current(lag, gen)
-    cur.components[1] = -cur.components[1]
-    assert not verify_current_symbolic(cur)
+    for lag, gen in ((lagrangian(flat, "linear"),
+                      SymmetryGenerator(VectorField(M, [1, 0, 0]),
+                                        sp.Integer(0), sp.Integer(0))),
+                     (lagrangian(sphere3, "critical"),
+                      sphere3.generator("S1")),
+                     (lagrangian(sol, "arbitrary"), sol.generator("So2"))):
+        cur = build_current(lag, gen)
+        cur.components[1] = -cur.components[1]
+        assert not verify_current_symbolic(cur)
+
+
+@pytest.mark.parametrize("geometry, cls_name, field", [
+    ("euclidean", "critical", "R8"),
+    ("sphere3", "arbitrary", "S1"),
+])
+def test_rational_noether_identities_compile_nothing(monkeypatch, geometry,
+                                                     cls_name, field):
+    """In the rational function field the Noether tests and the symbolic
+    current check are exact: nothing is sampled, so nothing is compiled."""
+    fix = catalog.load(geometry)
+    M = fix.space
+    cls = NonlinearityClass.named(cls_name, M, None, None)
+    gen = fix.generator(field)
+    lag = Lagrangian(M, cls)
+    poisson_equation(M, cls)        # cached; its own cross-check samples
+
+    def no_lambdify(*args, **kwargs):
+        raise AssertionError("lambdify called")
+    monkeypatch.setattr(sp, "lambdify", no_lambdify)
+    verdict = noether_classify(lag, gen)
+    assert verdict.kind in (NoetherKind.VARIATIONAL, NoetherKind.DIVERGENCE)
+    assert verify_current_symbolic(build_current(lag, gen, verdict))
 
 
 def test_off_shell_divergence_is_detected(flat):
