@@ -69,8 +69,12 @@ def load_manifest(doc: dict) -> dict:
         raise InputError(str(exc)) from exc
     n = len(coords)
     if (not isinstance(g_rows, list) or len(g_rows) != n
-            or any(not isinstance(r, list) or len(r) != n for r in g_rows)):
+            or any(not isinstance(r, list) or len(r) != n for r in g_rows)
+            or any(type(e) not in (str, int, float)
+                   for r in g_rows for e in r)):
         raise InputError(f"metric.g must be a {n}x{n} matrix of strings")
+    # a JSON number is read as its text in the grammar: 1.5 is exactly 3/2
+    g_rows = [[str(e) for e in r] for r in g_rows]
     if not isinstance(box, dict):
         raise InputError("manifold.box must be an object")
     box_t = {}
@@ -466,6 +470,22 @@ def cmd_current(args) -> int:
     return EXIT_OK
 
 
+def suite_document(reports) -> dict:
+    """The `suite --json` document of a list of SuiteReports."""
+    return {
+        "suites": [{
+            "geometry": r.geometry,
+            "passed": r.passed,
+            "checks": [{"name": c.name, "passed": c.passed,
+                        "severity": c.severity, "detail": c.detail}
+                       for c in r.checks],
+            "class_dimensions": r.class_dimensions,
+            "flagged_tables": r.flagged_tables,
+        } for r in reports],
+        "passed": all(r.passed for r in reports),
+    }
+
+
 def cmd_suite(args) -> int:
     if args.all:
         names = catalog.GEOMETRY_NAMES
@@ -487,18 +507,7 @@ def cmd_suite(args) -> int:
                 print(line)
     all_ok = all(r.passed for r in reports)
     if args.json:
-        print(json.dumps({
-            "suites": [{
-                "geometry": r.geometry,
-                "passed": r.passed,
-                "checks": [{"name": c.name, "passed": c.passed,
-                            "severity": c.severity, "detail": c.detail}
-                           for c in r.checks],
-                "class_dimensions": r.class_dimensions,
-                "flagged_tables": r.flagged_tables,
-            } for r in reports],
-            "passed": all_ok,
-        }, indent=2))
+        print(json.dumps(suite_document(reports), indent=2))
     else:
         print("-" * 40)
         for r in reports:

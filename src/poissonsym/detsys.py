@@ -12,12 +12,13 @@ with an equivalent form of (S3) that carries ((2-n)/4)(Delta_g mu) u in
 place of the curvature term; the two agree for conformal xi because
 Delta_g mu = -(1/(n-1))(xi^i R_,i + mu R).
 
-`solve_linear_ansatz` reduces the system to exact linear algebra over a
+The system is built once, in the chart's representation (`geom`): exact
+in the rational function field when the inputs convert, sampled Exprs
+otherwise.  `solve_linear_ansatz` reduces it to exact linear algebra over a
 finite function basis: the residuals are linear in the ansatz
-coefficients, so splitting them by monomial over independent kernels
-(`exprcore.linear_relations`) gives a linear system over QQ whose
-nullspace spans the candidate generators; candidates are then re-verified
-symbolically.
+coefficients, so splitting them by monomial (`exprcore.linear_relations`)
+gives a linear system over QQ whose nullspace spans the candidate
+generators; candidates are then re-verified.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ import sympy as sp
 from .exprcore import (Expr, SymbolTable, Verdict, is_zero, linear_relations,
                        normalize, parse)
 from .geom import (
+    ConformalVerdict,
     GeometryError,
     MetricSpace,
     VectorField,
     conformal_factor,
+    conformal_kind,
     conformal_residual,
     laplace_beltrami,
 )
@@ -173,14 +176,13 @@ class NonlinearityClass:
             return normalize(mu / (1 - self.p)), sp.Integer(0)
         return normalize(sp.Rational(2 - n, 4) * mu), sp.Integer(0)
 
-    def side_checks(self, M: MetricSpace, gen: "SymmetryGenerator",
-                    mu: Expr) -> dict:
-        """The case's side conditions on (mu, a, b), by name."""
-        n = M.n
-        pol = M.policy()
-        a, b = gen.a, gen.b
-        lap = lambda e: laplace_beltrami(M, e)
-        Z = lambda e: is_zero(e, pol) is Verdict.ZERO
+    def side_checks(self, R, gen: "SymmetryGenerator", mu: Expr) -> dict:
+        """The case's side conditions on (mu, a, b), by name, decided in the
+        representation R."""
+        n = R.space.n
+        a, b, mu = R.of(gen.a), R.of(gen.b), R.of(mu)
+        lap = lambda e: laplace_beltrami(R.space, e, R)
+        Z = lambda e: R.zero(e) is Verdict.ZERO
         tag = self.tag
         checks = {}
         if tag is NonlinearityTag.ARBITRARY:
@@ -190,25 +192,25 @@ class NonlinearityClass:
         elif tag is NonlinearityTag.ZERO:
             checks["b_harmonic"] = Z(lap(b))
             checks["mu_harmonic"] = Z(lap(mu))
-            checks["a_shift_constant"] = _is_constant(
-                M, a - sp.Rational(2 - n, 4) * mu, pol)
+            checks["a_shift_constant"] = R.constant(
+                a - sp.Rational(2 - n, 4) * mu)
         elif tag is NonlinearityTag.CONSTANT:
             # for f = k != 0 the binding side conditions are Delta mu = 0 and
             # (mu - a) k + Delta b = 0 (identically in k when k is symbolic)
             checks["b_biharmonic"] = Z(lap(lap(b)))
             checks["mu_harmonic"] = Z(lap(mu))
-            checks["balance"] = Z((mu - a) * self.k + lap(b))
+            checks["balance"] = Z((mu - a) * R.of(self.k) + lap(b))
         elif tag is NonlinearityTag.LINEAR:
             checks["b_eigen"] = Z(lap(b) + b)
             checks["mu_eigen"] = Z(sp.Rational(2 - n, 4) * lap(mu) + mu)
-            checks["a_shift_constant"] = _is_constant(
-                M, a - sp.Rational(2 - n, 4) * mu, pol)
+            checks["a_shift_constant"] = R.constant(
+                a - sp.Rational(2 - n, 4) * mu)
         elif tag is NonlinearityTag.EXPONENTIAL:
-            checks["mu_constant"] = _is_constant(M, mu, pol)
+            checks["mu_constant"] = R.constant(mu)
             checks["a_zero"] = Z(a)
             checks["b_is_minus_mu"] = Z(b + mu)
         elif tag is NonlinearityTag.POWER:
-            checks["mu_constant"] = _is_constant(M, mu, pol)
+            checks["mu_constant"] = R.constant(mu)
             checks["a_relation"] = Z(a - mu / (1 - self.p))
             checks["b_zero"] = Z(b)
         elif tag is NonlinearityTag.CRITICAL:
@@ -247,14 +249,17 @@ class NonlinearityClass:
         return [normalize(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2
                           + sg * gb[i] * u) for i in range(n)]
 
-    def scales_lagrangian(self, M: MetricSpace,
-                          X: "SymmetryGenerator") -> bool:
+    def scales_lagrangian(self, R, X: "SymmetryGenerator") -> bool:
         """Whether X may scale L (ScaledNonNoether): the u-scaling family
         only, and for constant f = k only with b = 0, since b leaves the
-        term -sqrt(g) b k, which is no multiple of L."""
+        term -sqrt(g) b k, which is no multiple of L.  Decided in R."""
         if self.tag is NonlinearityTag.CONSTANT:
-            return is_zero(X.b, M.policy()) is Verdict.ZERO
+            return R.zero(R.of(X.b)) is Verdict.ZERO
         return self.scaling
+
+    def representation(self, M: MetricSpace, *exprs):
+        """M's representation for exprs together with f and F."""
+        return M.representation(*exprs, self.f, self.F)
 
 
 @dataclass
@@ -361,46 +366,50 @@ def poisson_equation(M: MetricSpace, cls: NonlinearityClass) -> Expr:
     return H
 
 
-def _determining_equations(M: MetricSpace, X: SymmetryGenerator,
+def _determining_equations(R, xi: list, a, b,
                            cls: NonlinearityClass) -> tuple:
-    """Unnormalized (S1)-(S3) for X: (mu, S1 matrix, S2 list, S3, curv).
+    """(S1)-(S3) in R for xi, a and b in R: (mu, S1 rows, S2 list, S3,
+    curv), with only mu normalized.
 
     curv is the curvature coefficient of u in S3, returned so that the
     caller can check it against the equivalent ((2-n)/4) Delta_g mu.
     """
-    n, c, u = M.n, M.coords, cls.u
-    mu, res1 = conformal_residual(M, X.xi)
-    res2 = [sp.diff(X.a, c[i]) - sp.Rational(2 - n, 4) * sp.diff(mu, c[i])
-            for i in range(n)]
-    f, fp = cls.f, cls.fprime()
-    R = M.scalar_curvature
+    M = R.space
+    n, c, u = M.n, M.coords, R.of(cls.u)
+    mu, res1 = conformal_residual(M, xi, R)
+    res2 = [R.diff(a, x) - sp.Rational(2 - n, 4) * R.diff(mu, x) for x in c]
+    f, fp = R.of(cls.f), R.of(cls.fprime())
+    scal = R.scalar_curvature
     curv = sp.Rational(n - 2, 4 * (n - 1)) * (
-        sum(X.xi[i] * sp.diff(R, c[i]) for i in range(n)) + mu * R)
-    res3 = (X.a * u * fp + X.b * fp + (mu - X.a) * f
-            + curv * u + laplace_beltrami(M, X.b))
+        sum(xi[i] * R.diff(scal, c[i]) for i in range(n)) + mu * scal)
+    res3 = (a * u * fp + b * fp + (mu - a) * f
+            + curv * u + laplace_beltrami(M, b, R))
     return mu, res1, res2, res3, curv
 
 
 def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
                           cls: NonlinearityClass) -> DeterminingReport:
+    """S1-S3 for X, decided in the representation of X, f and F; the
+    report holds normalized Exprs."""
     if M.n < 3:
         raise GeometryError("symmetry classification needs dimension n >= 3")
     n = M.n
-    pol = M.policy()
-    mu, res1, res2, res3, curv = _determining_equations(M, X, cls)
-    res1 = res1.applyfunc(normalize)
-    res2 = [normalize(r) for r in res2]
-    res3 = normalize(res3)
+    R = cls.representation(M, *X.xi.components, X.a, X.b)
+    mu, res1, res2, res3, curv = _determining_equations(
+        R, [R.of(e) for e in X.xi.components], R.of(X.a), R.of(X.b), cls)
+    res1 = [[R.normal(e) for e in row] for row in res1]
+    res2 = [R.normal(r) for r in res2]
+    res3 = R.normal(res3)
 
-    v1 = [is_zero(res1[i, j], pol) for i in range(n) for j in range(i, n)]
-    v2 = [is_zero(r, pol) for r in res2]
-    v3 = is_zero(res3, pol)
+    v1 = [R.zero(res1[i][j]) for i in range(n) for j in range(i, n)]
+    v2 = [R.zero(r) for r in res2]
+    v3 = R.zero(res3)
     conformal_ok = all(v is Verdict.ZERO for v in v1)
     # the equivalent form of (S3) carries ((2-n)/4)(Delta_g mu) u in place
     # of the curvature term; the two must agree whenever xi is conformal
-    if conformal_ok and is_zero(
-            curv - sp.Rational(2 - n, 4) * laplace_beltrami(M, mu),
-            pol) is not Verdict.ZERO:
+    if conformal_ok and R.zero(
+            curv - sp.Rational(2 - n, 4) * laplace_beltrami(M, mu, R)
+    ) is not Verdict.ZERO:
         raise DetSysError("the two nonlinearity-residual forms disagree "
                           "for a conformal generator")
     warnings = [f"inconclusive zero test in {name} residual"
@@ -410,7 +419,8 @@ def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
     verdict = (conformal_ok and all(v is Verdict.ZERO for v in v2)
                and v3 is Verdict.ZERO)
     return DeterminingReport(
-        res1, res2, res3, mu, verdict,
+        sp.Matrix([[R.expr(e) for e in row] for row in res1]),
+        [R.expr(r) for r in res2], R.expr(res3), R.expr(mu), verdict,
         {"conformal": v1, "gradient": v2, "nonlinearity": v3}, warnings)
 
 
@@ -436,27 +446,27 @@ class SolveResult:
     nullspace_dim: int
 
 
-def _unit_generators(M: MetricSpace, basis: AnsatzBasis, with_b: bool):
-    """One SymmetryGenerator per ansatz coefficient (coefficient set to 1):
-    xi^0, ..., xi^(n-1), a, then b when with_b, each over the basis."""
-    def unit(slot, phi):
-        parts = [sp.Integer(0)] * (M.n + 2)
-        parts[slot] = phi
-        return SymmetryGenerator(VectorField(M, parts[:M.n]), *parts[M.n:])
-    return [unit(slot, phi) for slot in range(M.n + 1 + with_b)
-            for phi in basis.functions]
-
-
 def solve_linear_ansatz(M: MetricSpace, cls: NonlinearityClass,
                         basis: AnsatzBasis) -> SolveResult:
+    """Each ansatz coefficient is a unit (slot, phi): phi in xi^slot for
+    slot < n, in a for slot n and in b for slot n + 1 (when the class
+    carries b).  The S1-S3 columns of the units are built in the
+    representation of the basis, f and F, and their linear relations are
+    the candidate generators, each re-verified by determining_residuals."""
     if M.n < 3:
         raise GeometryError("symmetry classification needs dimension n >= 3")
     n = M.n
-    units = _unit_generators(M, basis, cls.with_b)
+    R = cls.representation(M, *basis.functions)
+    zero = R.of(sp.Integer(0))
+    units = [(slot, phi) for slot in range(n + 1 + cls.with_b)
+             for phi in basis.functions]
     columns = []
-    for unit in units:
-        _, res1, res2, res3, _ = _determining_equations(M, unit, cls)
-        columns.append([res1[i, j] for i in range(n) for j in range(i, n)]
+    for slot, phi in units:
+        parts = [zero] * (n + 2)
+        parts[slot] = R.of(phi)
+        _, res1, res2, res3, _ = _determining_equations(
+            R, parts[:n], parts[n], parts[n + 1], cls)
+        columns.append([res1[i][j] for i in range(n) for j in range(i, n)]
                        + res2 + [res3])
     null = linear_relations(columns)
 
@@ -474,11 +484,10 @@ def solve_linear_ansatz(M: MetricSpace, cls: NonlinearityClass,
 
 def _combine(M: MetricSpace, units: list, vec) -> SymmetryGenerator:
     """The generator sum_k vec[k] units[k] (normalized on construction)."""
-    def comb(part):
-        return sum(c * part(unit) for c, unit in zip(vec, units))
-    return SymmetryGenerator(
-        VectorField(M, [comb(lambda un: un.xi[i]) for i in range(M.n)]),
-        comb(lambda un: un.a), comb(lambda un: un.b))
+    parts = [sp.Integer(0)] * (M.n + 2)
+    for c, (slot, phi) in zip(vec, units):
+        parts[slot] += c * phi
+    return SymmetryGenerator(VectorField(M, parts[:M.n]), *parts[M.n:])
 
 
 # ---------------------------------------------------------------------------
@@ -506,24 +515,17 @@ class ClassificationTable:
         return len(self.entries)
 
 
-def _is_constant(M: MetricSpace, e: Expr, pol) -> bool:
-    return all(is_zero(sp.diff(e, x), pol) is Verdict.ZERO for x in M.coords)
-
-
 def classify(M: MetricSpace, cls: NonlinearityClass,
              basis: AnsatzBasis) -> ClassificationTable:
     result = solve_linear_ansatz(M, cls, basis)
-    pol = M.policy()
+    R = cls.representation(M, *basis.functions)
     entries = []
     for gen, rep in zip(result.generators, result.reports):
         mu = rep.mu
-        if is_zero(mu, pol) is Verdict.ZERO:
-            label = "Isometry"
-        elif _is_constant(M, mu, pol):
-            label = "Homothety"
-        else:
-            label = "ConformalKilling"
-        checks = cls.side_checks(M, gen, mu)
+        kind = conformal_kind(R, R.of(mu))
+        label = ("Isometry" if kind is ConformalVerdict.KILLING
+                 else kind.value)
+        checks = cls.side_checks(R, gen, mu)
         violations = [name for name, ok in checks.items() if not ok]
         entries.append(ClassifiedGenerator(gen, mu, label, cls.tag.value,
                                            checks, violations))

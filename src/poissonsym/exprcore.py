@@ -538,12 +538,14 @@ def _independent_kernels(exprs):
 
 def _cleared(fracs):
     """Numerators over the least common denominator of fracs."""
-    den = reduce(lambda p, q: p.lcm(q), (f.denom for f in fracs))
+    den = reduce(lambda p, q: p.lcm(q), dict.fromkeys(f.denom for f in fracs))
     return [f.numer * den.exquo(f.denom) for f in fracs]
 
 
-def _reduce_radical(K, p, i, L, b):
-    """p in K with each power R^(qL+r) of R = K.gens[i] replaced by R^r b^q."""
+def _reduce_radical(p, i, L, b):
+    """p with each power R^(qL+r) of R = the i-th generator replaced by
+    R^r b^q, b being an element of the field."""
+    K = b.field
     low, high = {}, K.zero
     for mono, c in p.terms():
         q, r = divmod(mono[i], L)
@@ -554,20 +556,11 @@ def _reduce_radical(K, p, i, L, b):
     return K(p.ring(low)) + high
 
 
-def linear_relations(columns) -> list:
-    """RREF basis over QQ of {c : sum_k c_k columns[k] == 0 identically}.
-
-    Each column is a tuple of expressions, all of one length.  The entries
-    are brought over independent kernels into one rational function field;
-    each row is cleared of denominators, reduced modulo the radical
-    relations and split by monomial and into real and imaginary parts, which
-    leaves a linear system over QQ.  Every relation returned holds; all are
-    found when the remaining kernels are algebraically independent.
-    """
-    if not columns:
-        return []
-    width, height = len(columns), len(columns[0])
-    flat, radicals = _independent_kernels([e for col in columns for e in col])
+def _field_elements(exprs):
+    """exprs in one rational function field over independent kernels: the
+    elements, the radical reductions [(i, L, b)] meaning R^L = b for the
+    i-th generator R, and the split of a coefficient into real parts."""
+    flat, radicals = _independent_kernels(exprs)
     exprs = flat + [b for _, _, b in radicals]
     gaussian = any(e.has(sp.I) for e in exprs)
     K, elems = sfield(exprs, domain=sp.QQ_I if gaussian else sp.QQ)
@@ -575,11 +568,33 @@ def linear_relations(columns) -> list:
     reductions = [(gens.index(R), L, b) for (R, L, _), b
                   in zip(radicals, elems[len(flat):]) if R in gens]
     parts = (lambda c: (c.x, c.y)) if gaussian else (lambda c: (c,))
+    return elems[:len(flat)], reductions, parts
+
+
+def linear_relations(columns) -> list:
+    """RREF basis over QQ of {c : sum_k c_k columns[k] == 0 identically}.
+
+    Each column is a tuple of entries, all of one length.  Entries that are
+    all elements of one rational function field are split as they are;
+    expressions are first brought over independent kernels into one such
+    field.  Each row is cleared of denominators, reduced modulo the radical
+    relations and split by monomial and into real and imaginary parts, which
+    leaves a linear system over QQ.  Every relation returned holds; all are
+    found when the remaining kernels are algebraically independent.
+    """
+    if not columns:
+        return []
+    width, height = len(columns), len(columns[0])
+    flat = [e for col in columns for e in col]
+    if all(isinstance(e, FracElement) for e in flat):
+        elems, reductions, parts = flat, [], lambda c: (c,)
+    else:
+        elems, reductions, parts = _field_elements(flat)
     equations = {}
     for r in range(height):
         polys = _cleared([elems[k * height + r] for k in range(width)])
         for i, L, b in reductions:
-            polys = _cleared([_reduce_radical(K, p, i, L, b) for p in polys])
+            polys = _cleared([_reduce_radical(p, i, L, b) for p in polys])
         for k, p in enumerate(polys):
             for mono, c in p.terms():
                 for part, v in enumerate(parts(c)):

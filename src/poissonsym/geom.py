@@ -89,14 +89,22 @@ class MetricSpace:
         return {s: pol.draw(rng, s) for s in self.coords}
 
     def _check_nondegenerate(self):
+        """g is nonsingular at sample points of the safe box, with the
+        declared signature: positive definite (riemannian) or exactly one
+        negative eigenvalue (lorentzian)."""
         import random
         rng = random.Random(99)
-        det = self.g.det()
+        need = 0 if self.signature == "riemannian" else 1
         for _ in range(8):
             pt = self.sample_point(rng)
-            val = eval_num(det, pt)
-            if abs(val) < 1e-12:
+            negative, det = _inertia(
+                [[eval_num(e, pt) for e in row] for row in self.g.tolist()])
+            if abs(det) < 1e-12:
                 raise GeometryError("metric singular inside the safe box")
+            if negative != need:
+                raise GeometryError(
+                    f"metric is not {self.signature}: {negative} negative "
+                    f"eigenvalue(s) at a sample point, need {need}")
 
     # -- derived tensors (cached, read-only after construction) --------------
 
@@ -197,42 +205,88 @@ class MetricSpace:
     @cached_property
     def _field(self) -> "FieldRep | None":
         rep = FieldRep(self)
-        tensors = [*self.g_inv, self.sqrt_det] + [
+        tensors = [*self.g, *self.g_inv, self.sqrt_det] + [
             e for block in self.christoffel for row in block for e in row]
         return rep if all(rep.converts(e) for e in tensors) else None
 
     def representation(self, *exprs) -> "ExprRep | FieldRep":
-        """The field representation when g^{-1}, sqrt g, the Christoffel
+        """The field representation when g, g^{-1}, sqrt g, the Christoffel
         symbols and every expression given lie in the table's rational
-        function field; the Expr one otherwise."""
+        function field (the curvature then does too); the Expr one
+        otherwise."""
         rep = self._field
         if rep is not None and all(rep.converts(e) for e in exprs):
             return rep
         return self.exprs
 
 
-class ExprRep:
+def _inertia(A: list) -> tuple:
+    """(number of negative eigenvalues, determinant) of the real symmetric
+    matrix A (a list of rows), by symmetric elimination, which keeps both
+    (Sylvester's law of inertia).  When the diagonal is small against an
+    off-diagonal A_ij, x_i -> x_i + x_j first makes A_ii a usable pivot."""
+    if not A:
+        return 0, 1.0
+    m = range(len(A))
+    k = max(m, key=lambda i: abs(A[i][i]))
+    i, j = max(((i, j) for i in m for j in m),
+               key=lambda ij: abs(A[ij[0]][ij[1]]))
+    if 2 * abs(A[k][k]) < abs(A[i][j]):
+        A = [[A[r][c] + (c == i) * A[r][j] for c in m] for r in m]
+        A[i], k = [a + b for a, b in zip(A[i], A[j])], i
+    p = A[k][k]
+    if p == 0:                              # A is zero
+        return 0, 0.0
+    negative, det = _inertia([[A[r][c] - A[r][k] * A[k][c] / p
+                               for c in m if c != k] for r in m if r != k])
+    return negative + (p < 0), det * p
+
+
+class _Rep:
+    """The chart's tensors in one representation; a subclass gives `of`
+    (Expr -> element), `expr` (element -> normalized Expr), `normal`,
+    `diff`, `total_derivative` and `zero`."""
+
+    def __init__(self, M: MetricSpace):
+        self.space, self.table = M, M.table
+
+    def _each(self, t):
+        """t, an Expr or nested lists or a Matrix of them, element-wise."""
+        t = t.tolist() if isinstance(t, sp.MatrixBase) else t
+        if isinstance(t, list):
+            return [self._each(r) for r in t]
+        return self.of(t)
+
+    g = cached_property(lambda self: self._each(self.space.g))
+    g_inv = cached_property(lambda self: self._each(self.space.g_inv))
+    sqrt_det = cached_property(lambda self: self._each(self.space.sqrt_det))
+    christoffel = cached_property(
+        lambda self: self._each(self.space.christoffel))
+    gamma_contracted = cached_property(
+        lambda self: self._each(self.space.gamma_contracted))
+    scalar_curvature = cached_property(
+        lambda self: self._each(self.space.scalar_curvature))
+
+    def constant(self, e) -> bool:
+        """Whether every coordinate derivative of e is zero."""
+        return all(self.zero(self.diff(e, x)) is Verdict.ZERO
+                   for x in self.space.coords)
+
+
+class ExprRep(_Rep):
     """Chart expressions as sympy Exprs; identities are decided by the
     sampled zero test."""
 
     def __init__(self, M: MetricSpace):
-        self.space, self.table = M, M.table
+        super().__init__(M)
         self.policy = M.policy()
 
     def of(self, e) -> Expr:
         return e
 
-    @cached_property
-    def g_inv(self) -> list:
-        return self.space.g_inv.tolist()
-
-    @property
-    def sqrt_det(self) -> Expr:
-        return self.space.sqrt_det
-
-    @property
-    def christoffel(self):
-        return self.space.christoffel
+    def expr(self, e) -> Expr:
+        """e, which the caller has put in normal form."""
+        return e
 
     def normal(self, e) -> Expr:
         return normalize(e)
@@ -254,13 +308,14 @@ class ExprRep:
         return is_zero(e, self.policy)
 
 
-class FieldRep:
+class FieldRep(_Rep):
     """Chart expressions as elements of the symbol table's rational function
     field; an identity holds exactly when its difference is zero."""
 
     def __init__(self, M: MetricSpace):
-        self.space, self.table = M, M.table
+        super().__init__(M)
         self._elements = {}
+        self._derivatives = {}
 
     def converts(self, e) -> bool:
         if e not in self._elements:
@@ -279,24 +334,23 @@ class FieldRep:
         """Record p, computed in the field, as the element of e."""
         self._elements[e] = p
 
-    @cached_property
-    def g_inv(self) -> list:
-        return [[self.of(e) for e in row] for row in self.space.g_inv.tolist()]
-
-    @cached_property
-    def sqrt_det(self):
-        return self.of(self.space.sqrt_det)
-
-    @cached_property
-    def christoffel(self):
-        return [[[self.of(e) for e in row] for row in block]
-                for block in self.space.christoffel]
+    def expr(self, p) -> Expr:
+        """p as the Expr normalize gives on the Expr route (the field leaves
+        the sign of a denominator open; cancel fixes it)."""
+        e = normalize(p.as_expr()) if p else sp.Integer(0)
+        self.remember(e, p)
+        return e
 
     def normal(self, e):
         return e
 
     def diff(self, e, s: sp.Symbol):
-        return self.table.field_diff(e, s)
+        """de/ds, remembered: the solver differentiates the same metric,
+        curvature and basis elements for every unit."""
+        key = (e, s)
+        if key not in self._derivatives:
+            self._derivatives[key] = self.table.field_diff(e, s)
+        return self._derivatives[key]
 
     def total_derivative(self, e, k: int):
         return self.table.field_total_derivative(e, k)
@@ -347,46 +401,60 @@ class ConformalReport:
     warnings: list = field(default_factory=list)
 
 
-def lie_derivative_metric(M: MetricSpace, xi: VectorField) -> sp.Matrix:
-    """(L_xi g)_ij = xi^k g_ij,k + g_kj xi^k_,i + g_ik xi^k_,j."""
-    n, g, c = M.n, M.g, M.coords
-    out = sp.zeros(n, n)
+def _components(R, xi) -> list:
+    """xi's components in R; xi is a VectorField or a list already in R."""
+    if isinstance(xi, VectorField):
+        return [R.of(e) for e in xi.components]
+    return xi
+
+
+def lie_derivative_metric(M: MetricSpace, xi,
+                          rep: ExprRep | FieldRep | None = None):
+    """(L_xi g)_ij = xi^k g_ij,k + g_kj xi^k_,i + g_ik xi^k_,j for xi a
+    VectorField or its components in rep; nested lists in rep, by default a
+    Matrix of normalized Exprs."""
+    R = rep or M.exprs
+    n, g, c = M.n, R.g, M.coords
+    xi = _components(R, xi)
+    out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            val = sum(xi[k] * sp.diff(g[i, j], c[k])
-                      + g[k, j] * sp.diff(xi[k], c[i])
-                      + g[i, k] * sp.diff(xi[k], c[j])
+            val = sum(xi[k] * R.diff(g[i][j], c[k])
+                      + g[k][j] * R.diff(xi[k], c[i])
+                      + g[i][k] * R.diff(xi[k], c[j])
                       for k in range(n))
-            val = normalize(val)
-            out[i, j] = val
-            out[j, i] = val
-    return out
+            out[i][j] = out[j][i] = R.normal(val)
+    return out if rep else sp.Matrix(out)
 
 
-def conformal_residual(M: MetricSpace, xi: VectorField) -> tuple:
-    """(mu, L_xi g - mu g) with mu = trace(g^{-1} L_xi g) / n.
-
-    mu is normalized; the residual matrix is not, since its consumers either
-    normalize it, hand it to is_zero or compile it.
-    """
-    lg = lie_derivative_metric(M, xi)
-    mu = normalize(sum(M.g_inv[i, j] * lg[j, i]
-                       for i in range(M.n) for j in range(M.n)) / M.n)
-    return mu, lg - mu * M.g
+def conformal_residual(M: MetricSpace, xi,
+                       rep: ExprRep | FieldRep | None = None) -> tuple:
+    """(mu, L_xi g - mu g) with mu = trace(g^{-1} L_xi g) / n, arguments
+    and residual as for lie_derivative_metric.  mu is normalized; the
+    residual is not, as its consumers normalize, decide or split it."""
+    R = rep or M.exprs
+    lg = lie_derivative_metric(M, xi, R)
+    n, g, gi = M.n, R.g, R.g_inv
+    mu = R.normal(sum(gi[i][j] * lg[j][i]
+                      for i in range(n) for j in range(n)) / n)
+    res = [[lg[i][j] - mu * g[i][j] for j in range(n)] for i in range(n)]
+    return mu, (res if rep else sp.Matrix(res))
 
 
 def conformal_factor(M: MetricSpace, xi: VectorField) -> Expr:
-    """mu alone; see conformal_residual."""
-    return conformal_residual(M, xi)[0]
+    """mu alone, as an Expr; see conformal_residual."""
+    R = M.representation(*xi.components)
+    return R.expr(conformal_residual(M, xi, R)[0])
 
 
-def covariant_divergence(M: MetricSpace, xi: VectorField,
+def covariant_divergence(M: MetricSpace, xi,
                          rep: ExprRep | FieldRep | None = None):
     """div(xi) = xi^j_,j + Gamma^l_jl xi^j; cross-checked against the
-    (1/sqrt g)(sqrt g xi^j)_,j form.  Computed in rep, Exprs by default."""
+    (1/sqrt g)(sqrt g xi^j)_,j form.  Arguments as for
+    lie_derivative_metric; Exprs by default."""
     R = rep or M.exprs
     n, c = M.n, M.coords
-    xi = [R.of(e) for e in xi.components]
+    xi = _components(R, xi)
     direct = sum(R.diff(xi[j], c[j]) for j in range(n)) + sum(
         R.christoffel[l][j][l] * xi[j] for j in range(n) for l in range(n))
     direct = R.normal(direct)
@@ -398,56 +466,68 @@ def covariant_divergence(M: MetricSpace, xi: VectorField,
     return direct
 
 
+def conformal_kind(R, mu) -> ConformalVerdict:
+    """KILLING when the factor mu (in R) is zero, HOMOTHETY when it is a
+    nonzero constant, CONFORMAL_KILLING otherwise."""
+    if R.zero(mu) is Verdict.ZERO:
+        return ConformalVerdict.KILLING
+    if R.constant(mu):
+        return ConformalVerdict.HOMOTHETY
+    return ConformalVerdict.CONFORMAL_KILLING
+
+
 def conformal_check(M: MetricSpace, xi: VectorField,
                     seed: int = 1234) -> ConformalReport:
-    """Classify xi as Killing / homothety / conformal Killing / none."""
+    """Classify xi as Killing / homothety / conformal Killing / none, in the
+    representation of xi; seed seeds the sampled max_residual."""
     pol = M.policy(seed=seed)
-    mu, residual = conformal_residual(M, xi)
-    warnings = []
-    max_res = 0.0
-    conformal = True
-    for i in range(M.n):
-        for j in range(i, M.n):
-            res = residual[i, j]
-            v = is_zero(res, pol)
-            if v is Verdict.NONZERO:
-                conformal = False
-            elif v is Verdict.INCONCLUSIVE:
-                conformal = False
-                warnings.append(f"inconclusive zero test for residual ({i},{j})")
-            max_res = max(max_res, _max_abs_sample(res, pol))
-    if not conformal:
-        return ConformalReport(ConformalVerdict.NOT_CONFORMAL, mu, max_res, warnings)
+    R = M.representation(*xi.components)
+    mu, res = conformal_residual(M, xi, R)
+    pairs = [(i, j) for i in range(M.n) for j in range(i, M.n)]
+    verdicts = [R.zero(res[i][j]) for i, j in pairs]
+    warnings = [f"inconclusive zero test for residual ({i},{j})"
+                for (i, j), v in zip(pairs, verdicts)
+                if v is Verdict.INCONCLUSIVE]
+    max_res = max(0.0, *(_max_abs_sample(R.expr(res[i][j]), pol)
+                         for i, j in pairs))
+    if any(v is not Verdict.ZERO for v in verdicts):
+        return ConformalReport(ConformalVerdict.NOT_CONFORMAL, R.expr(mu),
+                               max_res, warnings)
     # Lemma-1 cross-check: div(xi) = (n/2) mu
-    div = covariant_divergence(M, xi)
-    if is_zero(div - sp.Rational(M.n, 2) * mu, pol) is not Verdict.ZERO:
+    div = covariant_divergence(M, xi, R)
+    if R.zero(div - sp.Rational(M.n, 2) * mu) is not Verdict.ZERO:
         raise InternalConsistencyError("div(xi) != (n/2) mu for conformal field")
-    if is_zero(mu, pol) is Verdict.ZERO:
-        return ConformalReport(ConformalVerdict.KILLING, sp.Integer(0), max_res, warnings)
-    if all(is_zero(sp.diff(mu, x), pol) is Verdict.ZERO for x in M.coords):
-        return ConformalReport(ConformalVerdict.HOMOTHETY, mu, max_res, warnings)
-    return ConformalReport(ConformalVerdict.CONFORMAL_KILLING, mu, max_res, warnings)
+    kind = conformal_kind(R, mu)
+    mu = sp.Integer(0) if kind is ConformalVerdict.KILLING else R.expr(mu)
+    return ConformalReport(kind, mu, max_res, warnings)
 
 
 def _max_abs_sample(e: Expr, policy: ZeroTestPolicy) -> float:
-    values, _ = sample(normalize(e), policy)
+    e = normalize(e)
+    if e == 0:
+        return 0.0
+    values, _ = sample(e, policy)
     return max(values) if values else 0.0
 
 
-def laplace_beltrami(M: MetricSpace, phi: Expr) -> Expr:
+def laplace_beltrami(M: MetricSpace, phi,
+                     rep: ExprRep | FieldRep | None = None):
     """Delta_g phi, divergence form, cross-checked against
-    g^{ij} phi_ij - Gamma^i phi_i."""
-    phi = sp.sympify(phi)
-    n, c, gi, sg = M.n, M.coords, M.g_inv, M.sqrt_det
-    div_form = normalize(sum(
-        sp.diff(sg * sum(gi[i, j] * sp.diff(phi, c[j]) for j in range(n)), c[i])
+    g^{ij} phi_ij - Gamma^i phi_i.  phi is an element of rep, and the
+    result too; by default both are Exprs."""
+    R = rep or M.exprs
+    phi = phi if rep else sp.sympify(phi)
+    n, c, gi, sg = M.n, M.coords, R.g_inv, R.sqrt_det
+    d = [R.diff(phi, x) for x in c]
+    div_form = R.normal(sum(
+        R.diff(sg * sum(gi[i][j] * d[j] for j in range(n)), c[i])
         for i in range(n)) / sg)
-    alt = normalize(
-        sum(gi[i, j] * sp.diff(phi, c[i], c[j]) for i in range(n) for j in range(n))
-        - sum(M.gamma_contracted[i] * sp.diff(phi, c[i]) for i in range(n)))
-    if normalize(div_form - alt) != 0:
-        if is_zero(div_form - alt, M.policy()) is not Verdict.ZERO:
-            raise InternalConsistencyError("Laplace-Beltrami forms disagree")
+    alt = R.normal(
+        sum(gi[i][j] * R.diff(d[i], c[j]) for i in range(n) for j in range(n))
+        - sum(R.gamma_contracted[i] * d[i] for i in range(n)))
+    if (R.normal(div_form - alt) != 0
+            and R.zero(div_form - alt) is not Verdict.ZERO):
+        raise InternalConsistencyError("Laplace-Beltrami forms disagree")
     return div_form
 
 

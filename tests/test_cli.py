@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
 from poissonsym import catalog
 from poissonsym.cli import (EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, EXIT_SYMMETRY,
-                            InputError, export_fixture, load_manifest, main)
+                            InputError, export_fixture, load_manifest, main,
+                            suite_document)
 from poissonsym.exprcore import normalize, parse
 
 
@@ -81,6 +83,15 @@ def test_manifest_schema_errors():
                    ["x", "y", "x-y"]):
         with pytest.raises(InputError):
             load_manifest({**flat, "manifold": {"coords": coords}})
+    # a metric entry is a string or a JSON number, and a number is read
+    # as its text: 1e-05 is no grammar number
+    for entry in (None, True, [1], 1e-5):
+        with pytest.raises(InputError):
+            load_manifest({**flat, "metric": {"g": [[entry, 0, 0], [0, 1, 0],
+                                                    [0, 0, 1]]}})
+    M = load_manifest({**flat, "metric": {"g": [[1.5, 0, 0], [0, 1, 0],
+                                                [0, 0, 1]]}})["space"]
+    assert M.g[0, 0] == sp.Rational(3, 2) and M.sqrt_det == sp.sqrt(6) / 2
     # nesting depth is bounded: a parse error, not a RecursionError
     deep = "(" * 3000 + "1" + ")" * 3000
     with pytest.raises(InputError, match="nested deeper"):
@@ -214,6 +225,14 @@ def test_suite_single_geometry(capsys):
     assert "PASS" in out
 
 
+def test_suite_all_json_is_pinned(suite_reports):
+    # `suite --all --json` prints this document; the file holds its output
+    reports = [suite_reports[name] for name in catalog.GEOMETRY_NAMES]
+    golden = Path(__file__).parent / "data" / "suite_all.json"
+    assert (json.dumps(suite_document(reports), indent=2) + "\n"
+            == golden.read_text())
+
+
 def test_export_prints_manifest(capsys):
     code, out, _ = run(capsys, "export", "sol")
     assert code == EXIT_OK
@@ -287,6 +306,24 @@ def test_singular_metric_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "curvature", str(path))
     assert code == EXIT_GEOMETRY
     assert "geometry error" in err
+
+
+@pytest.mark.parametrize("signature,diagonal,code", [
+    ("riemannian", ("1", "1", "-1"), EXIT_GEOMETRY),
+    ("lorentzian", ("-1", "-1", "1"), EXIT_GEOMETRY),
+    ("lorentzian", ("-1", "1", "1"), EXIT_OK),
+], ids=["riemannian-indefinite", "lorentzian-two-negative", "lorentzian"])
+def test_declared_signature_is_checked(signature, diagonal, code, tmp_path,
+                                       capsys):
+    g = [[diagonal[i] if i == j else "0" for j in range(3)] for i in range(3)]
+    doc = {"manifold": {"coords": ["t", "x", "y"], "signature": signature},
+           "metric": {"g": g}}
+    path = tmp_path / "signature.json"
+    path.write_text(json.dumps(doc))
+    got, _, err = run(capsys, "curvature", str(path))
+    assert got == code
+    if code == EXIT_GEOMETRY:
+        assert err.startswith("geometry error: ") and err.count("\n") == 1
 
 
 def test_non_symmetry_exit_4(capsys):

@@ -4,7 +4,7 @@ nonlinearity-case routing, and the linear-ansatz solver."""
 import pytest
 import sympy as sp
 
-from poissonsym import catalog
+from poissonsym import catalog, exprcore
 from poissonsym.detsys import (AnsatzBasis, DetSysError, NonlinearityClass,
                                NonlinearityTag, SymmetryGenerator, classify,
                                determining_residuals, poisson_equation,
@@ -214,6 +214,26 @@ def test_solver_deterministic(flat):
     xi1 = [[normalize(c) for c in e.generator.xi.components] for e in t1.entries]
     xi2 = [[normalize(c) for c in e.generator.xi.components] for e in t2.entries]
     assert xi1 == xi2
+
+
+@pytest.mark.parametrize("geometry,dimension", [("euclidean", 10),
+                                                ("sphere3", 6)])
+def test_rational_solver_runs_in_the_field(monkeypatch, geometry, dimension):
+    """On a rational chart the columns are split as field elements and every
+    residual, side condition and label is decided exactly: neither the Expr
+    front end of linear_relations (sfield) nor the sampled zero test runs."""
+    fix = catalog.load(geometry)
+    M = fix.space
+    cls = NonlinearityClass.named("critical", M, None, None)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Expr route taken")
+    monkeypatch.setattr(exprcore, "sfield", refuse)
+    monkeypatch.setattr(sp, "lambdify", refuse)
+    table = classify(M, cls, fix.basis)
+    assert table.dimension == dimension
+    assert not table.inconclusive
+    assert all(not e.violations for e in table.entries)
 
 
 def test_empty_basis_rejected():
