@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .exprcore import Verdict, is_zero, linear_relations, parse
+from .exprcore import Verdict, linear_relations, parse
 from .geom import (
     ConformalVerdict,
     MetricSpace,
@@ -754,15 +754,15 @@ def _bracket_closure(fix: GeometryFixture, report: SuiteReport):
             for k in range(M.n):
                 diff = br.components[k] - sum(
                     rc[m] * fields[m].components[k] for m in range(len(fields)))
-                if is_zero(diff, M.policy()) is not Verdict.ZERO:
+                if M.exprs.zero(diff) is not Verdict.ZERO:
                     failures.append(
                         f"[{names[i]},{names[j]}] symbolic recheck comp {k}")
                     break
     report.add("bracket_closure", not failures, detail="; ".join(failures))
     for (na, nb, expected) in fix.special_brackets:
         br = lie_bracket(fix.vector_field(na), fix.vector_field(nb))
-        ok = all(is_zero(br.components[k] - parse(expected[k], M.table),
-                         M.policy()) is Verdict.ZERO for k in range(M.n))
+        ok = all(M.exprs.zero(br.components[k] - parse(expected[k], M.table))
+                 is Verdict.ZERO for k in range(M.n))
         report.add(f"bracket:{na},{nb}", ok,
                    detail=f"expected ({', '.join(expected)})")
 
@@ -881,7 +881,9 @@ def run_fixture_suite(fixture, classes=DEFAULT_CLASSES,
     """Run every fixture check; failures are collected, never raised."""
     fix = load(fixture) if isinstance(fixture, str) else fixture
     M = fix.space
-    pol = M.policy()
+    # the fixture's hand-entered data are checked with the sampled zero
+    # test on Exprs, independently of the field the pipeline computes in
+    E = M.exprs
     report = SuiteReport(fix.name)
 
     def guarded(name, fn):
@@ -892,8 +894,7 @@ def run_fixture_suite(fixture, classes=DEFAULT_CLASSES,
 
     guarded("curvature", lambda: report.add(
         "curvature",
-        is_zero(M.scalar_curvature - fix.expected_curvature, pol)
-        is Verdict.ZERO,
+        E.zero(M.scalar_curvature - fix.expected_curvature) is Verdict.ZERO,
         detail=f"R = {M.scalar_curvature}, expected {fix.expected_curvature}"))
 
     def killing_checks():
@@ -916,7 +917,7 @@ def run_fixture_suite(fixture, classes=DEFAULT_CLASSES,
     if fix.harmonic_b is not None:
         guarded("harmonic_b", lambda: report.add(
             "harmonic_b",
-            is_zero(laplace_beltrami(M, parse(fix.harmonic_b, M.table)), pol)
+            E.zero(laplace_beltrami(E, parse(fix.harmonic_b, M.table)))
             is Verdict.ZERO,
             detail=f"b = {fix.harmonic_b}"))
 

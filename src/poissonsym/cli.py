@@ -431,6 +431,8 @@ def cmd_noether(args) -> int:
 
 
 def cmd_current(args) -> int:
+    if args.verify < 0:
+        raise InputError(f"--verify needs N >= 0, not {args.verify}")
     loaded = _resolve_input(args)
     M = loaded["space"]
     cls = _nonlinearity_from(args, loaded)

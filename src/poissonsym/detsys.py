@@ -29,7 +29,7 @@ from enum import Enum
 
 import sympy as sp
 
-from .exprcore import (Expr, SymbolTable, Verdict, is_zero, linear_relations,
+from .exprcore import (Expr, SymbolTable, Verdict, linear_relations,
                        normalize, parse)
 from .geom import (
     ConformalVerdict,
@@ -90,9 +90,13 @@ class NonlinearityClass:
 
     @staticmethod
     def constant(u: sp.Symbol, k: Expr | None = None) -> "NonlinearityClass":
-        k = sp.Symbol("k", real=True, nonzero=True) if k is None else sp.sympify(k)
-        if k.is_zero:
-            raise DetSysError("constant nonlinearity requires k != 0")
+        """f = k, a nonzero number, or the symbol k when k is None."""
+        if k is None:
+            k = sp.Symbol("k", real=True, nonzero=True)
+        elif sp.sympify(k).is_zero or not sp.sympify(k).is_number:
+            raise DetSysError(f"constant nonlinearity requires a nonzero "
+                              f"number k, not '{k}'")
+        k = sp.sympify(k)
         return NonlinearityClass(NonlinearityTag.CONSTANT, u, k, k * u, k=k)
 
     @staticmethod
@@ -137,6 +141,8 @@ class NonlinearityClass:
             raise DetSysError("class 'power' requires an exponent p")
         if name == "p2n6" and n != 6:
             raise DetSysError("class 'p2n6' requires dimension n = 6")
+        if name == "critical":          # no critical exponent for n = 2
+            _require_classifiable(M)
         make = {
             "arbitrary": lambda: NonlinearityClass.arbitrary(u),
             "zero": lambda: NonlinearityClass.zero(u),
@@ -181,7 +187,7 @@ class NonlinearityClass:
         representation R."""
         n = R.space.n
         a, b, mu = R.of(gen.a), R.of(gen.b), R.of(mu)
-        lap = lambda e: laplace_beltrami(R.space, e, R)
+        lap = lambda e: laplace_beltrami(R, e)
         Z = lambda e: R.zero(e) is Verdict.ZERO
         tag = self.tag
         checks = {}
@@ -226,28 +232,29 @@ class NonlinearityClass:
     def fprime(self) -> Expr:
         return SymbolTable.diff_u(self.f, self.u)
 
-    def potential(self, M: MetricSpace, X: "SymmetryGenerator",
-                  mu: Expr) -> list:
-        """Closed-form Noether potential phi^i of X, whose conformal factor
-        is mu: X^(1)L + L D_i xi^i = D_i phi^i for a divergence symmetry."""
-        n, c, u = M.n, M.coords, self.u
-        sg = M.sqrt_det
+    def potential(self, R, X: "SymmetryGenerator", mu) -> list:
+        """Closed-form Noether potential phi^i of X in R, mu being X's
+        conformal factor in R: X^(1)L + L D_i xi^i = D_i phi^i for a
+        divergence symmetry."""
+        n, c, u = R.space.n, R.space.coords, R.of(self.u)
+        sg, gi = R.sqrt_det, R.g_inv
 
         def grad_up(e):
-            return [sum(M.g_inv[i, j] * sp.diff(e, c[j]) for j in range(n))
+            return [sum(gi[i][j] * R.diff(e, c[j]) for j in range(n))
                     for i in range(n)]
 
+        if not (self.scaling or self.tag in (NonlinearityTag.CRITICAL,
+                                             NonlinearityTag.POWER,
+                                             NonlinearityTag.P2N6)):
+            return [R.of(sp.Integer(0))] * n
         gmu = grad_up(mu)
         if self.tag is NonlinearityTag.P2N6:
-            glap = grad_up(laplace_beltrami(M, mu))
-            return [normalize(-sg * gmu[i] * u**2 / 2 + sg * glap[i] * u)
+            glap = grad_up(laplace_beltrami(R, mu))
+            return [R.normal(-sg * gmu[i] * u**2 / 2 + sg * glap[i] * u)
                     for i in range(n)]
-        if not (self.scaling or self.tag in (NonlinearityTag.CRITICAL,
-                                             NonlinearityTag.POWER)):
-            return [sp.Integer(0)] * n
-        gb = grad_up(X.b) if self.scaling else [0] * n
-        return [normalize(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2
-                          + sg * gb[i] * u) for i in range(n)]
+        gb = grad_up(R.of(X.b)) if self.scaling else [0] * n
+        return [R.normal(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2
+                         + sg * gb[i] * u) for i in range(n)]
 
     def scales_lagrangian(self, R, X: "SymmetryGenerator") -> bool:
         """Whether X may scale L (ScaledNonNoether): the u-scaling family
@@ -343,27 +350,16 @@ class AnsatzBasis:
         return len(self.functions)
 
 
+def _require_classifiable(M: MetricSpace) -> None:
+    if M.n < 3:
+        raise GeometryError("symmetry classification needs dimension n >= 3")
+
+
 def poisson_equation(M: MetricSpace, cls: NonlinearityClass) -> Expr:
-    """H = g^{ij} u_ij - Gamma^i u_i + f(u), cross-checked against the
-    divergence-form expansion (1/sqrt g) D_i(sqrt g g^{ij} u_j) + f."""
-    cache = M.__dict__.setdefault("_poisson_cache", {})
-    key = sp.srepr(cls.f)
-    if key in cache:
-        return cache[key]
-    n, T = M.n, M.table
-    H = normalize(
-        sum(M.g_inv[i, j] * T.jet2(i, j) for i in range(n) for j in range(n))
-        - sum(M.gamma_contracted[i] * T.jet1(i) for i in range(n))
-        + cls.f)
-    sg = M.sqrt_det
-    div_form = sum(
-        sp.diff(sg * M.g_inv[i, j], M.coords[i]) * T.jet1(j)
-        + sg * M.g_inv[i, j] * T.jet2(i, j)
-        for i in range(n) for j in range(n)) / sg + cls.f
-    if is_zero(H - div_form, M.policy()) is not Verdict.ZERO:
-        raise DetSysError("Poisson equation forms disagree")
-    cache[key] = H
-    return H
+    """H = g^{ij} u_ij - Gamma^i u_i + f(u), built in the representation of
+    f and F from its cross-checked jet Laplacian (`geom._Rep`)."""
+    R = cls.representation(M)
+    return R.expr(R.normal(R.jet_laplacian + R.of(cls.f)))
 
 
 def _determining_equations(R, xi: list, a, b,
@@ -376,14 +372,14 @@ def _determining_equations(R, xi: list, a, b,
     """
     M = R.space
     n, c, u = M.n, M.coords, R.of(cls.u)
-    mu, res1 = conformal_residual(M, xi, R)
+    mu, res1 = conformal_residual(R, xi)
     res2 = [R.diff(a, x) - sp.Rational(2 - n, 4) * R.diff(mu, x) for x in c]
     f, fp = R.of(cls.f), R.of(cls.fprime())
     scal = R.scalar_curvature
     curv = sp.Rational(n - 2, 4 * (n - 1)) * (
         sum(xi[i] * R.diff(scal, c[i]) for i in range(n)) + mu * scal)
     res3 = (a * u * fp + b * fp + (mu - a) * f
-            + curv * u + laplace_beltrami(M, b, R))
+            + curv * u + laplace_beltrami(R, b))
     return mu, res1, res2, res3, curv
 
 
@@ -391,8 +387,7 @@ def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
                           cls: NonlinearityClass) -> DeterminingReport:
     """S1-S3 for X, decided in the representation of X, f and F; the
     report holds normalized Exprs."""
-    if M.n < 3:
-        raise GeometryError("symmetry classification needs dimension n >= 3")
+    _require_classifiable(M)
     n = M.n
     R = cls.representation(M, *X.xi.components, X.a, X.b)
     mu, res1, res2, res3, curv = _determining_equations(
@@ -408,7 +403,7 @@ def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
     # the equivalent form of (S3) carries ((2-n)/4)(Delta_g mu) u in place
     # of the curvature term; the two must agree whenever xi is conformal
     if conformal_ok and R.zero(
-            curv - sp.Rational(2 - n, 4) * laplace_beltrami(M, mu, R)
+            curv - sp.Rational(2 - n, 4) * laplace_beltrami(R, mu)
     ) is not Verdict.ZERO:
         raise DetSysError("the two nonlinearity-residual forms disagree "
                           "for a conformal generator")
@@ -453,8 +448,7 @@ def solve_linear_ansatz(M: MetricSpace, cls: NonlinearityClass,
     carries b).  The S1-S3 columns of the units are built in the
     representation of the basis, f and F, and their linear relations are
     the candidate generators, each re-verified by determining_residuals."""
-    if M.n < 3:
-        raise GeometryError("symmetry classification needs dimension n >= 3")
+    _require_classifiable(M)
     n = M.n
     R = cls.representation(M, *basis.functions)
     zero = R.of(sp.Integer(0))

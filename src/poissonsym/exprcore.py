@@ -340,8 +340,12 @@ class _Parser:
 
 
 def parse(text: str, table: SymbolTable) -> Expr:
-    """Parse text under the fixed grammar; unknown identifiers are an error."""
-    return _Parser(text, table).parse()
+    """Parse text under the fixed grammar; unknown identifiers and
+    non-finite values (1/0, 0/0, ln(0)) are an error."""
+    e = _Parser(text, table).parse()
+    if e.has(sp.zoo, sp.nan):
+        raise ParseError(f"'{text}' is not finite", 0)
+    return e
 
 
 def to_grammar(e: Expr) -> str:
@@ -411,25 +415,27 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+#: the zero test's sample count, the scaled sample size at or below which it
+#: counts as zero and above which it certifies NonZero, and the range of a
+#: symbol without a safe box
+SAMPLES, ABS_TOL, NONZERO_MARGIN, DEFAULT_RANGE = 16, 1e-9, 1e-3, (-2.0, 2.0)
+
+
 @dataclass(frozen=True)
 class ZeroTestPolicy:
     """Sampling policy for the numeric half of the zero test.
 
     `box` gives per-symbol safe ranges (e.g. z in [0.5, 2] on upper-half-space
-    charts); symbols not listed use `default_range`.  A Zero verdict needs the
+    charts); symbols not listed use DEFAULT_RANGE.  A Zero verdict needs the
     canonical form to vanish *and* every sample to stay below the scaled
     tolerance; a single sample above the margin certifies NonZero.
     """
 
-    samples: int = 16
-    abs_tol: float = 1e-9
-    nonzero_margin: float = 1e-3
     box: Mapping[sp.Symbol, tuple[float, float]] = field(default_factory=dict)
-    default_range: tuple[float, float] = (-2.0, 2.0)
     seed: int = 1234
 
     def draw(self, rng: random.Random, sym: sp.Symbol) -> float:
-        lo, hi = self.box.get(sym, self.default_range)
+        lo, hi = self.box.get(sym, DEFAULT_RANGE)
         return rng.uniform(lo, hi)
 
 
@@ -441,7 +447,7 @@ def sample(e: Expr, policy: ZeroTestPolicy):
     rng = random.Random(policy.seed)
     values, scales = [], []
     attempts = 0
-    while len(values) < policy.samples and attempts < policy.samples * 10:
+    while len(values) < SAMPLES and attempts < SAMPLES * 10:
         attempts += 1
         point = [policy.draw(rng, s) for s in free]
         try:
@@ -466,9 +472,9 @@ def is_zero(e: Expr, policy: ZeroTestPolicy | None = None) -> Verdict:
         # cheap pre-screen: a sample clearly above the margin certifies
         # NonZero without paying for canonicalization of large expressions
         values, scales = sample(e, policy)
-        if values and max(values) > policy.nonzero_margin * (1.0 + max(scales)):
+        if values and max(values) > NONZERO_MARGIN * (1.0 + max(scales)):
             return Verdict.NONZERO
-        if values and max(values) <= policy.abs_tol * (1.0 + max(scales)):
+        if values and max(values) <= ABS_TOL * (1.0 + max(scales)):
             # numerics say zero; try the cheap exact certificate (expanded
             # numerator over a common denominator) before the expensive one
             num, _ = sp.fraction(sp.together(e))
@@ -483,9 +489,9 @@ def is_zero(e: Expr, policy: ZeroTestPolicy | None = None) -> Verdict:
     if not values:
         return Verdict.INCONCLUSIVE
     scale = 1.0 + max(scales)
-    if max(values) > policy.nonzero_margin * scale:
+    if max(values) > NONZERO_MARGIN * scale:
         return Verdict.NONZERO
-    if max(values) <= policy.abs_tol * scale:
+    if max(values) <= ABS_TOL * scale:
         # numerics say zero; demand a symbolic certificate before agreeing
         if sp.simplify(n) == 0:
             return Verdict.ZERO

@@ -14,7 +14,9 @@ per call by `MetricSpace.representation` from whether the inputs convert:
 `FieldRep`, the rational function field of the symbol table, where an
 identity holds exactly when its difference is zero, and `ExprRep`, sympy
 expressions decided by the sampled zero test `is_zero`.  A formula written
-once against their common methods runs in either.
+once against their common methods runs in either: each chart formula takes
+the representation R as its first argument, its inputs are elements of R
+and so is its result (`M.exprs` gives Exprs).
 """
 
 from __future__ import annotations
@@ -78,11 +80,10 @@ class MetricSpace:
 
     # -- policy / sampling ---------------------------------------------------
 
-    def policy(self, seed: int = 1234, samples: int = 16) -> ZeroTestPolicy:
-        box = {}
-        for name, rng in self.box.items():
-            box[self.table.lookup(name)] = tuple(rng)
-        return ZeroTestPolicy(samples=samples, box=box, seed=seed)
+    def policy(self, seed: int = 1234) -> ZeroTestPolicy:
+        box = {self.table.lookup(name): tuple(rng)
+               for name, rng in self.box.items()}
+        return ZeroTestPolicy(box=box, seed=seed)
 
     def sample_point(self, rng) -> dict[sp.Symbol, float]:
         pol = self.policy()
@@ -267,6 +268,23 @@ class _Rep:
     scalar_curvature = cached_property(
         lambda self: self._each(self.space.scalar_curvature))
 
+    @cached_property
+    def jet_laplacian(self):
+        """Delta_g u on the jet space, g^{ij} u_ij - Gamma^i u_i (not
+        normal), cross-checked against (1/sqrt g) D_i(sqrt g g^{ij} u_j)."""
+        T, n, gi = self.table, self.space.n, self.g_inv
+        u1 = [self.of(T.jet1(i)) for i in range(n)]
+        lap = (sum(gi[i][j] * self.of(T.jet2(i, j))
+                   for i in range(n) for j in range(n))
+               - sum(self.gamma_contracted[i] * u1[i] for i in range(n)))
+        sg = self.sqrt_det
+        div_form = sum(self.total_derivative(
+            sg * sum(gi[i][j] * u1[j] for j in range(n)), i)
+            for i in range(n)) / sg
+        if self.zero(lap - div_form) is not Verdict.ZERO:
+            raise InternalConsistencyError("Poisson equation forms disagree")
+        return lap
+
     def constant(self, e) -> bool:
         """Whether every coordinate derivative of e is zero."""
         return all(self.zero(self.diff(e, x)) is Verdict.ZERO
@@ -401,21 +419,12 @@ class ConformalReport:
     warnings: list = field(default_factory=list)
 
 
-def _components(R, xi) -> list:
-    """xi's components in R; xi is a VectorField or a list already in R."""
-    if isinstance(xi, VectorField):
-        return [R.of(e) for e in xi.components]
-    return xi
-
-
-def lie_derivative_metric(M: MetricSpace, xi,
-                          rep: ExprRep | FieldRep | None = None):
-    """(L_xi g)_ij = xi^k g_ij,k + g_kj xi^k_,i + g_ik xi^k_,j for xi a
-    VectorField or its components in rep; nested lists in rep, by default a
-    Matrix of normalized Exprs."""
-    R = rep or M.exprs
+def lie_derivative_metric(R, xi: list) -> list:
+    """(L_xi g)_ij = xi^k g_ij,k + g_kj xi^k_,i + g_ik xi^k_,j, for the
+    components xi of a vector field in the representation R; rows of
+    normal elements of R."""
+    M = R.space
     n, g, c = M.n, R.g, M.coords
-    xi = _components(R, xi)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -424,37 +433,31 @@ def lie_derivative_metric(M: MetricSpace, xi,
                       + g[i][k] * R.diff(xi[k], c[j])
                       for k in range(n))
             out[i][j] = out[j][i] = R.normal(val)
-    return out if rep else sp.Matrix(out)
+    return out
 
 
-def conformal_residual(M: MetricSpace, xi,
-                       rep: ExprRep | FieldRep | None = None) -> tuple:
-    """(mu, L_xi g - mu g) with mu = trace(g^{-1} L_xi g) / n, arguments
-    and residual as for lie_derivative_metric.  mu is normalized; the
-    residual is not, as its consumers normalize, decide or split it."""
-    R = rep or M.exprs
-    lg = lie_derivative_metric(M, xi, R)
-    n, g, gi = M.n, R.g, R.g_inv
+def conformal_residual(R, xi: list) -> tuple:
+    """(mu, L_xi g - mu g) in R with mu = trace(g^{-1} L_xi g) / n, for xi
+    as in lie_derivative_metric.  mu is normal; the residual is not, as its
+    consumers normalize, decide or split it."""
+    lg = lie_derivative_metric(R, xi)
+    n, g, gi = R.space.n, R.g, R.g_inv
     mu = R.normal(sum(gi[i][j] * lg[j][i]
                       for i in range(n) for j in range(n)) / n)
-    res = [[lg[i][j] - mu * g[i][j] for j in range(n)] for i in range(n)]
-    return mu, (res if rep else sp.Matrix(res))
+    return mu, [[lg[i][j] - mu * g[i][j] for j in range(n)] for i in range(n)]
 
 
 def conformal_factor(M: MetricSpace, xi: VectorField) -> Expr:
-    """mu alone, as an Expr; see conformal_residual."""
+    """mu alone, as an Expr, computed in the representation of xi."""
     R = M.representation(*xi.components)
-    return R.expr(conformal_residual(M, xi, R)[0])
+    return R.expr(conformal_residual(R, [R.of(e) for e in xi.components])[0])
 
 
-def covariant_divergence(M: MetricSpace, xi,
-                         rep: ExprRep | FieldRep | None = None):
-    """div(xi) = xi^j_,j + Gamma^l_jl xi^j; cross-checked against the
-    (1/sqrt g)(sqrt g xi^j)_,j form.  Arguments as for
-    lie_derivative_metric; Exprs by default."""
-    R = rep or M.exprs
-    n, c = M.n, M.coords
-    xi = _components(R, xi)
+def covariant_divergence(R, xi: list):
+    """div(xi) = xi^j_,j + Gamma^l_jl xi^j in R, for xi as in
+    lie_derivative_metric; cross-checked against the
+    (1/sqrt g)(sqrt g xi^j)_,j form."""
+    n, c = R.space.n, R.space.coords
     direct = sum(R.diff(xi[j], c[j]) for j in range(n)) + sum(
         R.christoffel[l][j][l] * xi[j] for j in range(n) for l in range(n))
     direct = R.normal(direct)
@@ -482,7 +485,8 @@ def conformal_check(M: MetricSpace, xi: VectorField,
     representation of xi; seed seeds the sampled max_residual."""
     pol = M.policy(seed=seed)
     R = M.representation(*xi.components)
-    mu, res = conformal_residual(M, xi, R)
+    comps = [R.of(e) for e in xi.components]
+    mu, res = conformal_residual(R, comps)
     pairs = [(i, j) for i in range(M.n) for j in range(i, M.n)]
     verdicts = [R.zero(res[i][j]) for i, j in pairs]
     warnings = [f"inconclusive zero test for residual ({i},{j})"
@@ -494,7 +498,7 @@ def conformal_check(M: MetricSpace, xi: VectorField,
         return ConformalReport(ConformalVerdict.NOT_CONFORMAL, R.expr(mu),
                                max_res, warnings)
     # Lemma-1 cross-check: div(xi) = (n/2) mu
-    div = covariant_divergence(M, xi, R)
+    div = covariant_divergence(R, comps)
     if R.zero(div - sp.Rational(M.n, 2) * mu) is not Verdict.ZERO:
         raise InternalConsistencyError("div(xi) != (n/2) mu for conformal field")
     kind = conformal_kind(R, mu)
@@ -510,14 +514,10 @@ def _max_abs_sample(e: Expr, policy: ZeroTestPolicy) -> float:
     return max(values) if values else 0.0
 
 
-def laplace_beltrami(M: MetricSpace, phi,
-                     rep: ExprRep | FieldRep | None = None):
-    """Delta_g phi, divergence form, cross-checked against
-    g^{ij} phi_ij - Gamma^i phi_i.  phi is an element of rep, and the
-    result too; by default both are Exprs."""
-    R = rep or M.exprs
-    phi = phi if rep else sp.sympify(phi)
-    n, c, gi, sg = M.n, M.coords, R.g_inv, R.sqrt_det
+def laplace_beltrami(R, phi):
+    """Delta_g phi in R for phi in R, divergence form, cross-checked
+    against g^{ij} phi_ij - Gamma^i phi_i."""
+    n, c, gi, sg = R.space.n, R.space.coords, R.g_inv, R.sqrt_det
     d = [R.diff(phi, x) for x in c]
     div_form = R.normal(sum(
         R.diff(sg * sum(gi[i][j] * d[j] for j in range(n)), c[i])
@@ -572,7 +572,7 @@ class ConformalIdentityReport:
 def conformal_identity_checks(M: MetricSpace, xi: VectorField,
                               mu: Expr) -> ConformalIdentityReport:
     """Consistency identities satisfied by every conformal Killing field."""
-    pol = M.policy()
+    E = M.exprs
     n, c = M.n, M.coords
     failures = []
     lap_xi = vector_laplacian(M, xi)
@@ -582,13 +582,13 @@ def conformal_identity_checks(M: MetricSpace, xi: VectorField,
                + sum(M.ricci[i][j] * xi[j] for j in range(n))
                - sp.Rational(2 - n, 2) * sum(M.g_inv[i, j] * sp.diff(mu, c[j])
                                              for j in range(n)))
-        if is_zero(res, pol) is not Verdict.ZERO:
+        if E.zero(res) is not Verdict.ZERO:
             vec_ok = False
             failures.append(f"vector identity fails in component {i}")
     R = M.scalar_curvature
-    res = laplace_beltrami(M, mu) + sp.Rational(1, n - 1) * (
+    res = laplace_beltrami(E, mu) + sp.Rational(1, n - 1) * (
         sum(xi[i] * sp.diff(R, c[i]) for i in range(n)) + mu * R)
-    fac_ok = is_zero(res, pol) is Verdict.ZERO
+    fac_ok = E.zero(res) is Verdict.ZERO
     if not fac_ok:
         failures.append("conformal factor Laplacian identity fails")
     return ConformalIdentityReport(vec_ok, fac_ok, failures)

@@ -29,14 +29,12 @@ from enum import Enum
 
 import sympy as sp
 
-from .exprcore import Expr, Verdict, is_zero, normalize
+from .exprcore import Expr, Verdict, normalize
 from .detsys import NonlinearityClass, SymmetryGenerator, poisson_equation
 from .geom import (
-    ExprRep,
-    FieldRep,
     InternalConsistencyError,
     MetricSpace,
-    conformal_factor,
+    conformal_residual,
     covariant_divergence,
 )
 
@@ -59,30 +57,24 @@ class Lagrangian:
                            - self.nonlinearity.F * M.sqrt_det)
 
 
-def total_derivative(M: MetricSpace, e: Expr, k: int) -> Expr:
-    """D_k on a jet expression in (x, u, u_i): D_k = d/dx^k + u_k d/du
-    + u_{ks} d/du_s, with d/du applying the chain rule to F_val and f_val."""
-    return M.exprs.total_derivative(e, k)
-
-
-def total_divergence(M: MetricSpace, comps,
-                     rep: ExprRep | FieldRep | None = None):
-    """D_k comps[k], computed in rep (Exprs by default).  Exprs are left
-    unnormalized: every consumer either samples the result or feeds it to
-    is_zero, which canonicalizes once."""
-    R = rep or M.exprs
-    return sum(R.total_derivative(comps[k], k) for k in range(M.n))
+def total_divergence(R, comps):
+    """D_k comps[k] in R for comps in R.  Exprs are left unnormalized: every
+    consumer either samples the result or decides it with R.zero, which
+    canonicalizes once."""
+    return sum(R.total_derivative(comps[k], k) for k in range(R.space.n))
 
 
 def euler_lagrange(lag: Lagrangian) -> Expr:
-    """E(L) = dL/du - D_k dL/du_k; satisfies E(L) + sqrt(g) H = 0."""
+    """E(L) = dL/du - D_k dL/du_k; satisfies E(L) + sqrt(g) H = 0, decided
+    in the representation of both."""
     M, T = lag.space, lag.space.table
     e = T.diff_u(lag.L, T.u)
     for k in range(M.n):
-        e -= total_derivative(M, sp.diff(lag.L, T.jet1(k)), k)
+        e -= M.exprs.total_derivative(sp.diff(lag.L, T.jet1(k)), k)
     e = normalize(e)
     H = poisson_equation(M, lag.nonlinearity)
-    if is_zero(e + M.sqrt_det * H, M.policy()) is not Verdict.ZERO:
+    R = M.representation(e, H)
+    if R.zero(R.of(e) + R.sqrt_det * R.of(H)) is not Verdict.ZERO:
         raise InternalConsistencyError("E(L) + sqrt(g) H does not vanish")
     return e
 
@@ -116,7 +108,7 @@ def _covariant_prolongation(R, lag: Lagrangian, X: SymmetryGenerator):
     u, uj = R.of(T.u), [R.of(s) for s in T.first_jets]
     gi, sg, gam = R.g_inv, R.sqrt_det, R.christoffel
 
-    div = covariant_divergence(M, X.xi, R)
+    div = covariant_divergence(R, xi)
     grad_xi = [[sum(gi[k][i] * (R.diff(xi[s], c[i])
                                 + sum(gam[s][i][l] * xi[l] for l in range(n)))
                     for i in range(n))
@@ -195,20 +187,20 @@ def noether_classify(lag: Lagrangian, X: SymmetryGenerator) -> NoetherVerdict:
     if v is Verdict.INCONCLUSIVE:
         warnings.append("inconclusive zero test on the raw residual")
 
-    mu = conformal_factor(M, X.xi)
-    phi = cls.potential(M, X, mu)
-    rem = res - total_divergence(M, [R.of(e) for e in phi], R)
+    mu, _ = conformal_residual(R, [R.of(e) for e in X.xi.components])
+    phi = cls.potential(R, X, mu)
+    rem = res - total_divergence(R, phi)
     if R.zero(rem) is Verdict.ZERO:
-        return NoetherVerdict(NoetherKind.DIVERGENCE, residual, phi,
-                              warnings=warnings)
+        return NoetherVerdict(NoetherKind.DIVERGENCE, residual,
+                              [R.expr(e) for e in phi], warnings=warnings)
 
     if cls.scales_lagrangian(R, X):
-        cexp = normalize(X.a - sp.Rational(2 - n, 4) * mu)
-        c = R.of(cexp)
-        grad_ok = all(R.zero(R.diff(c, x)) is Verdict.ZERO for x in M.coords)
-        if grad_ok and R.zero(rem - 2 * c * R.of(lag.L)) is Verdict.ZERO:
-            return NoetherVerdict(NoetherKind.SCALED_NON_NOETHER,
-                                  residual, phi, c=cexp, warnings=warnings)
+        c = R.normal(R.of(X.a) - sp.Rational(2 - n, 4) * mu)
+        if (R.constant(c)
+                and R.zero(rem - 2 * c * R.of(lag.L)) is Verdict.ZERO):
+            return NoetherVerdict(NoetherKind.SCALED_NON_NOETHER, residual,
+                                  [R.expr(e) for e in phi], c=R.expr(c),
+                                  warnings=warnings)
     return NoetherVerdict(NoetherKind.NOT_NOETHER, residual,
                           warnings=warnings)
 
@@ -273,7 +265,7 @@ def verify_current_symbolic(cur: ConservedCurrent) -> bool:
     M, X, cls = cur.space, cur.generator, cur.nonlinearity
     H = poisson_equation(M, cls)
     R = M.representation(*cur.components, *X.xi.components, X.eta(), H)
-    div = total_divergence(M, [R.of(e) for e in cur.components], R)
+    div = total_divergence(R, [R.of(e) for e in cur.components])
     Q = _characteristic(R, X)
     ok = R.zero(div - SIGMA * R.sqrt_det * Q * R.of(H)) is Verdict.ZERO
     cur.symbolic_verified = ok
@@ -298,8 +290,10 @@ def verify_current_numeric(cur: ConservedCurrent, samples: int = 100,
     Two functions are compiled: (g^00, H at u_11 = 0) for the on-shell
     solve and (D_k A^k, A^0, ..., A^{n-1}), with D_k A^k differentiated
     from the Expr components, independently of the symbolic check."""
+    if samples < 1:
+        raise NoetherError(f"need at least one sample, not {samples}")
     M, T = cur.space, cur.space.table
-    div = total_divergence(M, cur.components)
+    div = total_divergence(M.exprs, cur.components)
     H = poisson_equation(M, cur.nonlinearity)
     syms = list(M.coords) + T.all_jets()
     syms += sorted((div.free_symbols | H.free_symbols
@@ -333,7 +327,7 @@ def verify_current_numeric(cur: ConservedCurrent, samples: int = 100,
         scale = max(scale, a_mag)
     if len(divs) < samples:
         raise NoetherError("could not draw enough finite jet samples")
-    max_div = max(0.0, *divs)
+    max_div = max(divs)
     passed = max_div < 1e-7 * (1.0 + scale)
     res = NumericVerification(max_div, scale, passed, len(divs), divs)
     if on_shell:

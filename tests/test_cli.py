@@ -92,6 +92,14 @@ def test_manifest_schema_errors():
     M = load_manifest({**flat, "metric": {"g": [[1.5, 0, 0], [0, 1, 0],
                                                 [0, 0, 1]]}})["space"]
     assert M.g[0, 0] == sp.Rational(3, 2) and M.sqrt_det == sp.sqrt(6) / 2
+    # expressions must be finite
+    for text in ("1/0", "0^(-1)", "0/0", "ln(0)"):
+        with pytest.raises(InputError, match="not finite"):
+            load_manifest({**flat, "vectorfields": {"V": [text, "0", "0"]}})
+        with pytest.raises(InputError, match="not finite"):
+            load_manifest({**flat, "metric": {"g": [[text, "0", "0"],
+                                                    ["0", "1", "0"],
+                                                    ["0", "0", "1"]]}})
     # nesting depth is bounded: a parse error, not a RecursionError
     deep = "(" * 3000 + "1" + ")" * 3000
     with pytest.raises(InputError, match="nested deeper"):
@@ -272,11 +280,19 @@ def test_missing_args_exit_2(capsys):
                            "--class", "power", "--p", p, "R1")
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
-    # F_val is no coordinate function: not in a field, not in a basis
+    # F_val is no coordinate function: not in a field, not in a basis;
+    # --verify counts samples; k is a nonzero number; expressions are finite
     for argv in (("noether", "--geometry", "euclidean", "--class", "zero",
                   "F_val,0,0"),
                  ("killing", "--geometry", "euclidean", "--solve",
-                  "--basis", "1,x,F_val")):
+                  "--basis", "1,x,F_val"),
+                 ("current", "--geometry", "euclidean", "--class", "critical",
+                  "R8", "--verify", "-5"),
+                 *(("noether", "--geometry", "euclidean", "--class",
+                    "constant", "--k", k, "R1")
+                   for k in ("x", "u", "1/0", "0/0", "ln(0)", "0^(-1)")),
+                 ("noether", "--geometry", "euclidean", "--class", "zero",
+                  "1/0,0,0")):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -324,6 +340,19 @@ def test_declared_signature_is_checked(signature, diagonal, code, tmp_path,
     assert got == code
     if code == EXIT_GEOMETRY:
         assert err.startswith("geometry error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cls", ["critical", "zero", "arbitrary"])
+def test_two_dimensional_chart_exit_3(cls, tmp_path, capsys):
+    doc = {"manifold": {"coords": ["x", "y"]},
+           "metric": {"g": [["1", "0"], ["0", "1"]]},
+           "vectorfields": {"T": ["1", "0"]}}
+    path = tmp_path / "flat2.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "noether", str(path), "--class", cls, "T")
+    assert code == EXIT_GEOMETRY
+    assert err == ("geometry error: symmetry classification needs "
+                   "dimension n >= 3\n")
 
 
 def test_non_symmetry_exit_4(capsys):
