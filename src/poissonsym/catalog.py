@@ -117,17 +117,14 @@ class GeometryFixture:
     def generator(self, name: str) -> SymmetryGenerator:
         for kg in self.extra_generators:
             if kg.name == name:
-                M = self.space
-                return SymmetryGenerator(
-                    VectorField(M, [parse(c, M.table) for c in kg.xi]),
-                    parse(kg.a, M.table), parse(kg.b, M.table))
+                return SymmetryGenerator(VectorField(self.space, kg.xi),
+                                         kg.a, kg.b)
         return SymmetryGenerator(self.vector_field(name),
                                  sp.Integer(0), sp.Integer(0))
 
 
 def _fields(M: MetricSpace, table: dict) -> dict:
-    return {name: VectorField(M, [parse(c, M.table) for c in comps])
-            for name, comps in table.items()}
+    return {name: VectorField(M, comps) for name, comps in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +858,7 @@ def reconcile_reference_tables(fix: GeometryFixture):
             cls = NonlinearityClass.zero(M.table.u)
             gen = SymmetryGenerator(
                 VectorField(M, [sp.Integer(0)] * M.n),
-                sp.Integer(0), parse(ref.b, M.table))
+                sp.Integer(0), ref.b)
         else:
             cls = NonlinearityClass.arbitrary(M.table.u)
             gen = fix.generator(ref.symmetry)

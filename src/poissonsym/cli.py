@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .exprcore import ExprError, SymbolTable, Verdict, parse, to_grammar
+from .exprcore import ExprError, SymbolTable, Verdict, to_grammar
 from .geom import (GeometryError, MetricSpace, VectorField, conformal_check,
                    conformal_factor)
 from .detsys import (AnsatzBasis, DetSysError, NonlinearityClass,
@@ -60,6 +60,9 @@ def load_manifest(doc: dict) -> dict:
     except (KeyError, TypeError) as exc:
         raise InputError(f"manifest missing required key: {exc}") from None
     signature = man.get("signature", "riemannian")
+    if signature not in ("riemannian", "lorentzian"):
+        raise InputError(f"manifold.signature must be 'riemannian' or "
+                         f"'lorentzian', not {json.dumps(signature)}")
     box = man.get("box") or {}
     if not _strings(coords):
         raise InputError("manifold.coords must be a list of strings")
@@ -98,8 +101,7 @@ def load_manifest(doc: dict) -> dict:
         if not _strings(comps) or len(comps) != n:
             raise InputError(f"vectorfield '{name}' needs {n} components")
         try:
-            fields[name] = VectorField(
-                space, [parse(c, space.table) for c in comps])
+            fields[name] = VectorField(space, comps)
         except (ExprError, GeometryError) as exc:
             raise InputError(f"vectorfield '{name}': {exc}") from exc
 
@@ -169,13 +171,14 @@ def export_fixture(fix: catalog.GeometryFixture) -> dict:
 
 def _resolve_input(args) -> dict:
     """Manifest path or --geometry fixture name -> loaded manifest dict."""
-    if getattr(args, "geometry", None):
-        # with --geometry there is no manifest path; a lone positional is
-        # the field spec
-        if getattr(args, "manifest", None) and hasattr(args, "field") \
-                and not args.field:
-            args.field = args.manifest
-            args.manifest = None
+    if args.geometry:
+        # with --geometry there is no manifest path; the one positional of
+        # a field command is the field
+        if args.manifest and hasattr(args, "field") and not args.field:
+            args.field, args.manifest = args.manifest, None
+        if args.manifest:
+            raise InputError(f"--geometry takes no manifest path, "
+                             f"got '{args.manifest}'")
         try:
             fix = catalog.load(args.geometry)
         except catalog.CatalogError as exc:
@@ -185,7 +188,7 @@ def _resolve_input(args) -> dict:
                      for kg in fix.extra_generators}}
         return {"space": fix.space, "vectorfields": fields,
                 "nonlinearity": None, "ansatz": fix.basis}
-    if not getattr(args, "manifest", None):
+    if not args.manifest:
         raise InputError("a manifest path or --geometry is required")
     return read_manifest(args.manifest)
 
@@ -246,7 +249,7 @@ def _generator_from(args, loaded, cls) -> SymmetryGenerator:
         if len(comps) != M.n:
             raise InputError(f"inline field needs {M.n} components")
         try:
-            xi = VectorField(M, [parse(c, M.table) for c in comps])
+            xi = VectorField(M, comps)
         except (ExprError, GeometryError) as exc:
             raise InputError(f"field: {exc}") from exc
     else:
@@ -446,6 +449,7 @@ def cmd_current(args) -> int:
     out = {"component": [to_grammar(c) for c in cur.components],
            "max_divergence": None, "verdict": verdict.kind.value}
     lines = [f"A^{M.coords[k]} = {out['component'][k]}" for k in range(M.n)]
+    failed = False
     if args.verify:
         sym_ok = verify_current_symbolic(cur)
         num = verify_current_numeric(cur, samples=args.verify, seed=args.seed)
@@ -459,17 +463,9 @@ def cmd_current(args) -> int:
             f"max |div| = {num.max_divergence:.3e} over {num.samples} "
             f"on-shell samples ({'<' if num.passed else '>='} {tol:.3e}): "
             f"{'PASS' if num.passed else 'FAIL'}")
-        if not (sym_ok and num.passed):
-            if args.json:
-                print(json.dumps(out, indent=2))
-            else:
-                print("\n".join(lines))
-            return EXIT_SYMMETRY
-    if args.json:
-        print(json.dumps(out, indent=2))
-    else:
-        print("\n".join(lines))
-    return EXIT_OK
+        failed = not (sym_ok and num.passed)
+    print(json.dumps(out, indent=2) if args.json else "\n".join(lines))
+    return EXIT_SYMMETRY if failed else EXIT_OK
 
 
 def suite_document(reports) -> dict:
@@ -552,7 +548,15 @@ def _add_class_flags(p):
                    help="constant value for the constant class")
 
 
-class _SubcommandParser(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed argument in one line, like every other input
+    error (exit 2); -h still prints the usage."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
+class _SubcommandParser(_Parser):
     """Reads positionals after the options too, e.g. the field R13 in
     `noether flat.json --class exponential R13`."""
 
@@ -569,7 +573,7 @@ class _SubcommandParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="poissonsym",
         description="Symmetry and conservation-law workbench for "
                     "Delta_g u + f(u) = 0 on Riemannian charts.")

@@ -278,17 +278,11 @@ class SymmetryGenerator:
     b: Expr
 
     def __post_init__(self):
-        M = self.xi.space
-        fixed = []
-        for e in (self.a, self.b):
-            if isinstance(e, str):
-                e = parse(e, M.table)
-            e = normalize(sp.sympify(e))
-            if not M.table.coordinate_only(e):
-                raise DetSysError("a(x), b(x) must not depend on u, jets or "
-                                  "F_val, f_val, fprime_val")
-            fixed.append(e)
-        self.a, self.b = fixed
+        T = self.xi.space.table
+        self.a, self.b = T.expression(self.a), T.expression(self.b)
+        if not (T.coordinate_only(self.a) and T.coordinate_only(self.b)):
+            raise DetSysError("a(x), b(x) must not depend on u, jets or "
+                              "F_val, f_val, fprime_val")
 
     @property
     def space(self) -> MetricSpace:

@@ -80,7 +80,7 @@ class SymbolTable:
     #: d/du of the reserved symbols: F' = f and f' = fprime
     CHAIN = ((F, f), (f, fprime))
 
-    def __init__(self, coords: Sequence[str], dependent: str = "u"):
+    def __init__(self, coords: Sequence[str]):
         for c in coords:
             try:
                 tokens = _tokenize(c)
@@ -90,16 +90,15 @@ class SymbolTable:
                 raise ExprError(f"coordinate name '{c}' is not an "
                                 f"identifier of the expression grammar")
         self.coords = [sp.Symbol(c, real=True) for c in coords]
-        self.u = sp.Symbol(dependent, real=True)
+        self.u = sp.Symbol("u", real=True)
 
         n = len(coords)
-        self.first_jets = [sp.Symbol(f"{dependent}_{c}", real=True)
-                           for c in coords]
+        self.first_jets = [sp.Symbol(f"u_{c}", real=True) for c in coords]
         self.second_jets: dict[tuple[int, int], sp.Symbol] = {}
         for i in range(n):
             for j in range(i, n):
                 self.second_jets[(i, j)] = sp.Symbol(
-                    f"{dependent}_{coords[i]}{coords[j]}", real=True)
+                    f"u_{coords[i]}{coords[j]}", real=True)
 
         # every name has one owner (u_xy and u_yx share theirs); the
         # grammar owns the function names
@@ -108,7 +107,7 @@ class SymbolTable:
         named += [(s.name, s, s.name)
                   for s in (self.u, self.F, self.f, self.fprime)]
         named += [(s.name, s, ("jet", i)) for i, s in enumerate(self.first_jets)]
-        named += [(f"{dependent}_{coords[a]}{coords[b]}", s, (i, j))
+        named += [(f"u_{coords[a]}{coords[b]}", s, (i, j))
                   for (i, j), s in self.second_jets.items()
                   for a, b in ((i, j), (j, i))]
         owners = dict.fromkeys(FUNCTIONS, "function")
@@ -116,7 +115,7 @@ class SymbolTable:
             if owners.setdefault(name, owner) != owner:
                 raise ExprError(
                     f"coordinates {list(coords)} clash on the name '{name}'; "
-                    f"a coordinate may not be {dependent}, a jet name, F_val, "
+                    f"a coordinate may not be u, a jet name, F_val, "
                     f"f_val, fprime_val or a function name")
         self._by_name = {name: s for name, s, _ in named}
         self._jet_space = {self.u, self.F, self.f, self.fprime,
@@ -131,6 +130,11 @@ class SymbolTable:
         if e.has_free(cls.F, cls.f):
             d += sum(c * sp.diff(e, s) for s, c in cls.CHAIN)
         return d
+
+    def expression(self, value) -> Expr:
+        """value in normal form, parsed first when it is grammar text."""
+        return normalize(parse(value, self) if isinstance(value, str)
+                         else value)
 
     def coordinate_only(self, e: Expr) -> bool:
         """Whether e is free of u, the jets and the reserved F_val, f_val,

@@ -1,7 +1,8 @@
 """Tensor calculus on a coordinate chart.
 
-MetricSpace owns the metric and lazily derives inverse, volume factor,
-Christoffel symbols and curvature.  Sign conventions:
+MetricSpace owns the metric g and its volume factor sqrt g; the inverse,
+Christoffel symbols and curvature are derived once, lazily, in the chart's
+representation (`_Rep`) and exposed as Exprs.  Sign conventions:
 
     R^i_jks = Gamma^i_jk,s - Gamma^i_js,k + Gamma^i_ls Gamma^l_jk
               - Gamma^i_lk Gamma^l_js
@@ -27,6 +28,7 @@ from functools import cached_property
 from typing import Sequence
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from .exprcore import (
     Expr,
@@ -36,7 +38,6 @@ from .exprcore import (
     eval_num,
     is_zero,
     normalize,
-    parse,
     sample,
 )
 
@@ -62,16 +63,8 @@ class MetricSpace:
         self.signature = signature
         self.box = dict(box or {})
 
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                entry = g[i][j] if not isinstance(g, sp.Matrix) else g[i, j]
-                if isinstance(entry, str):
-                    entry = parse(entry, self.table)
-                row.append(normalize(entry))
-            rows.append(row)
-        self.g = sp.Matrix(rows)
+        self.g = sp.Matrix([[self.table.expression(e) for e in row[:self.n]]
+                            for row in g[:self.n]])
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if normalize(self.g[i, j] - self.g[j, i]) != 0:
@@ -107,11 +100,7 @@ class MetricSpace:
                     f"metric is not {self.signature}: {negative} negative "
                     f"eigenvalue(s) at a sample point, need {need}")
 
-    # -- derived tensors (cached, read-only after construction) --------------
-
-    @cached_property
-    def g_inv(self) -> sp.Matrix:
-        return self.g.inv().applyfunc(normalize)
+    # -- tensors ---------------------------------------------------------------
 
     @cached_property
     def det_g(self) -> Expr:
@@ -144,58 +133,16 @@ class MetricSpace:
         r = sp.sqrt(sp.factor(d.subs(fwd)))
         return normalize(sp.powsimp(r).subs(back))
 
-    @cached_property
-    def christoffel(self):
-        n, g, gi, c = self.n, self.g, self.g_inv, self.coords
-        dg = [[[sp.diff(g[a, b], c[k]) for k in range(n)] for b in range(n)]
-              for a in range(n)]
-        gam = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    val = sp.Rational(1, 2) * sum(
-                        gi[i, l] * (dg[l][j][k] + dg[l][k][j] - dg[j][k][l])
-                        for l in range(n))
-                    val = normalize(val)
-                    gam[i][j][k] = val
-                    gam[i][k][j] = val
-        return gam
-
-    @cached_property
-    def gamma_contracted(self):
-        """Gamma^i = g^{pq} Gamma^i_pq."""
-        n, gi, gam = self.n, self.g_inv, self.christoffel
-        return [normalize(sum(gi[p, q] * gam[i][p][q]
-                              for p in range(n) for q in range(n)))
-                for i in range(n)]
-
-    @cached_property
-    def riemann(self):
-        n, c, gam = self.n, self.coords, self.christoffel
-        R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for s in range(n):
-                        val = (sp.diff(gam[i][j][k], c[s])
-                               - sp.diff(gam[i][j][s], c[k])
-                               + sum(gam[i][l][s] * gam[l][j][k]
-                                     - gam[i][l][k] * gam[l][j][s]
-                                     for l in range(n)))
-                        R[i][j][k][s] = normalize(val)
-        return R
-
-    @cached_property
-    def ricci(self):
-        """Mixed Ricci tensor R^i_s = g^{jk} R^i_jks."""
-        n, gi, Rm = self.n, self.g_inv, self.riemann
-        return [[normalize(sum(gi[j, k] * Rm[i][j][k][s]
-                               for j in range(n) for k in range(n)))
-                 for s in range(n)] for i in range(n)]
-
-    @cached_property
-    def scalar_curvature(self) -> Expr:
-        return normalize(sum(self.ricci[i][i] for i in range(self.n)))
+    # the derived tensors, computed once in the chart's representation and
+    # printed as Exprs (`_Rep`)
+    g_inv = cached_property(lambda self: sp.Matrix(self.exprs.g_inv))
+    christoffel = cached_property(lambda self: self.exprs.christoffel)
+    gamma_contracted = cached_property(
+        lambda self: self.exprs.gamma_contracted)
+    riemann = cached_property(lambda self: self.exprs.riemann)
+    ricci = cached_property(lambda self: self.exprs.ricci)
+    scalar_curvature = cached_property(
+        lambda self: self.exprs.scalar_curvature)
 
     # -- representations -----------------------------------------------------
 
@@ -204,19 +151,19 @@ class MetricSpace:
         return ExprRep(self)
 
     @cached_property
-    def _field(self) -> "FieldRep | None":
+    def _chart(self) -> "ExprRep | FieldRep":
+        """The representation the tensors are derived in: the field when g
+        and sqrt g convert (every derived tensor then does), else Exprs."""
         rep = FieldRep(self)
-        tensors = [*self.g, *self.g_inv, self.sqrt_det] + [
-            e for block in self.christoffel for row in block for e in row]
-        return rep if all(rep.converts(e) for e in tensors) else None
+        if all(rep.converts(e) for e in [*self.g, self.sqrt_det]):
+            return rep
+        return self.exprs
 
     def representation(self, *exprs) -> "ExprRep | FieldRep":
-        """The field representation when g, g^{-1}, sqrt g, the Christoffel
-        symbols and every expression given lie in the table's rational
-        function field (the curvature then does too); the Expr one
-        otherwise."""
-        rep = self._field
-        if rep is not None and all(rep.converts(e) for e in exprs):
+        """The chart's field representation when every expression given
+        converts to the table's rational function field, else the Expr one."""
+        rep = self._chart
+        if rep is not self.exprs and all(rep.converts(e) for e in exprs):
             return rep
         return self.exprs
 
@@ -243,30 +190,86 @@ def _inertia(A: list) -> tuple:
     return negative + (p < 0), det * p
 
 
+def _map(f, t):
+    """f applied to t, an element, or to each element of nested lists t."""
+    return [_map(f, e) for e in t] if isinstance(t, list) else f(t)
+
+
+def _tensor(derive):
+    """A tensor of the chart as a cached property of a representation:
+    `derive` computes it in the chart's representation, and M.exprs on a
+    rational chart prints the field's tensor instead of deriving it again."""
+    def get(R):
+        chart = R.space._chart
+        return derive(R) if R is chart else _map(
+            chart.expr, getattr(chart, derive.__name__))
+    return cached_property(get)
+
+
 class _Rep:
     """The chart's tensors in one representation; a subclass gives `of`
     (Expr -> element), `expr` (element -> normalized Expr), `normal`,
-    `diff`, `total_derivative` and `zero`."""
+    `diff`, `total_derivative`, `zero` and `inverse` (of a matrix, as
+    rows).  g and sqrt g are the chart's input; every other tensor is
+    derived from them here, once, with these methods."""
 
     def __init__(self, M: MetricSpace):
         self.space, self.table = M, M.table
 
-    def _each(self, t):
-        """t, an Expr or nested lists or a Matrix of them, element-wise."""
-        t = t.tolist() if isinstance(t, sp.MatrixBase) else t
-        if isinstance(t, list):
-            return [self._each(r) for r in t]
-        return self.of(t)
+    g = cached_property(lambda self: _map(self.of, self.space.g.tolist()))
+    sqrt_det = cached_property(lambda self: self.of(self.space.sqrt_det))
 
-    g = cached_property(lambda self: self._each(self.space.g))
-    g_inv = cached_property(lambda self: self._each(self.space.g_inv))
-    sqrt_det = cached_property(lambda self: self._each(self.space.sqrt_det))
-    christoffel = cached_property(
-        lambda self: self._each(self.space.christoffel))
-    gamma_contracted = cached_property(
-        lambda self: self._each(self.space.gamma_contracted))
-    scalar_curvature = cached_property(
-        lambda self: self._each(self.space.scalar_curvature))
+    @_tensor
+    def g_inv(self):
+        return self.inverse(self.g)
+
+    @_tensor
+    def christoffel(self):
+        """Gamma^i_jk = (1/2) g^{il} (g_lj,k + g_lk,j - g_jk,l)."""
+        n, c, g, gi = self.space.n, self.space.coords, self.g, self.g_inv
+        dg = [[[self.diff(g[a][b], x) for x in c] for b in range(n)]
+              for a in range(n)]
+        gam = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(j, n):
+                    gam[i][j][k] = gam[i][k][j] = self.normal(
+                        sp.Rational(1, 2) * sum(
+                            gi[i][l] * (dg[l][j][k] + dg[l][k][j]
+                                        - dg[j][k][l]) for l in range(n)))
+        return gam
+
+    @_tensor
+    def gamma_contracted(self):
+        """Gamma^i = g^{pq} Gamma^i_pq."""
+        n, gi, gam = self.space.n, self.g_inv, self.christoffel
+        return [self.normal(sum(gi[p][q] * gam[i][p][q]
+                                for p in range(n) for q in range(n)))
+                for i in range(n)]
+
+    @_tensor
+    def riemann(self):
+        """R^i_jks, signed as in the module docstring."""
+        n, c, gam = self.space.n, self.space.coords, self.christoffel
+        return [[[[self.normal(
+            self.diff(gam[i][j][k], c[s]) - self.diff(gam[i][j][s], c[k])
+            + sum(gam[i][l][s] * gam[l][j][k] - gam[i][l][k] * gam[l][j][s]
+                  for l in range(n)))
+            for s in range(n)] for k in range(n)] for j in range(n)]
+            for i in range(n)]
+
+    @_tensor
+    def ricci(self):
+        """Mixed Ricci tensor R^i_s = g^{jk} R^i_jks."""
+        n, gi, Rm = self.space.n, self.g_inv, self.riemann
+        return [[self.normal(sum(gi[j][k] * Rm[i][j][k][s]
+                                 for j in range(n) for k in range(n)))
+                 for s in range(n)] for i in range(n)]
+
+    @_tensor
+    def scalar_curvature(self):
+        return self.normal(sum(self.ricci[i][i]
+                               for i in range(self.space.n)))
 
     @cached_property
     def jet_laplacian(self):
@@ -325,6 +328,9 @@ class ExprRep(_Rep):
     def zero(self, e) -> Verdict:
         return is_zero(e, self.policy)
 
+    def inverse(self, A: list) -> list:
+        return sp.Matrix(A).inv().applyfunc(normalize).tolist()
+
 
 class FieldRep(_Rep):
     """Chart expressions as elements of the symbol table's rational function
@@ -376,6 +382,10 @@ class FieldRep(_Rep):
     def zero(self, e) -> Verdict:
         return Verdict.NONZERO if e else Verdict.ZERO
 
+    def inverse(self, A: list) -> list:
+        n, K = len(A), self.table.field
+        return DomainMatrix(A, (n, n), K.to_domain()).inv().to_list()
+
 
 @dataclass
 class VectorField:
@@ -389,16 +399,10 @@ class VectorField:
         M = self.space
         if len(self.components) != M.n:
             raise GeometryError("component count != chart dimension")
-        comps = []
-        for c in self.components:
-            if isinstance(c, str):
-                c = parse(c, M.table)
-            c = normalize(sp.sympify(c))
-            if not M.table.coordinate_only(c):
-                raise GeometryError("vector field depends on u, jet symbols "
-                                    "or F_val, f_val, fprime_val")
-            comps.append(c)
-        self.components = comps
+        self.components = [M.table.expression(c) for c in self.components]
+        if not all(M.table.coordinate_only(c) for c in self.components):
+            raise GeometryError("vector field depends on u, jet symbols "
+                                "or F_val, f_val, fprime_val")
 
     def __getitem__(self, i: int) -> Expr:
         return self.components[i]
@@ -453,15 +457,20 @@ def conformal_factor(M: MetricSpace, xi: VectorField) -> Expr:
     return R.expr(conformal_residual(R, [R.of(e) for e in xi.components])[0])
 
 
+def covariant_derivative(R, xi: list) -> list:
+    """nabla_k xi^i = xi^i_,k + Gamma^i_kl xi^l in R, as rows [i][k], for
+    xi as in lie_derivative_metric; not normal."""
+    n, c, gam = R.space.n, R.space.coords, R.christoffel
+    return [[R.diff(xi[i], c[k]) + sum(gam[i][k][l] * xi[l] for l in range(n))
+             for k in range(n)] for i in range(n)]
+
+
 def covariant_divergence(R, xi: list):
-    """div(xi) = xi^j_,j + Gamma^l_jl xi^j in R, for xi as in
-    lie_derivative_metric; cross-checked against the
-    (1/sqrt g)(sqrt g xi^j)_,j form."""
-    n, c = R.space.n, R.space.coords
-    direct = sum(R.diff(xi[j], c[j]) for j in range(n)) + sum(
-        R.christoffel[l][j][l] * xi[j] for j in range(n) for l in range(n))
-    direct = R.normal(direct)
-    sg = R.sqrt_det
+    """div(xi) = nabla_j xi^j in R, for xi as in lie_derivative_metric;
+    cross-checked against the (1/sqrt g)(sqrt g xi^j)_,j form."""
+    n, c, sg = R.space.n, R.space.coords, R.sqrt_det
+    nabla = covariant_derivative(R, xi)
+    direct = R.normal(sum(nabla[j][j] for j in range(n)))
     alt = R.normal(sum(R.diff(sg * xi[j], c[j]) for j in range(n)) / sg)
     if (R.normal(direct - alt) != 0
             and R.zero(direct - alt) is Verdict.NONZERO):
@@ -532,34 +541,32 @@ def laplace_beltrami(R, phi):
 
 
 def lie_bracket(xi: VectorField, eta: VectorField) -> VectorField:
-    """[xi, eta]^i = xi^j eta^i_,j - eta^j xi^i_,j."""
+    """[xi, eta]^i = xi^j eta^i_,j - eta^j xi^i_,j, computed in the
+    representation of both."""
     if xi.space is not eta.space:
         raise GeometryError("vector fields live on different charts")
     M, c = xi.space, xi.space.coords
-    comps = [normalize(sum(xi[j] * sp.diff(eta[i], c[j])
-                           - eta[j] * sp.diff(xi[i], c[j])
-                           for j in range(M.n)))
-             for i in range(M.n)]
-    return VectorField(M, comps)
+    R = M.representation(*xi.components, *eta.components)
+    X, Y = ([R.of(e) for e in v.components] for v in (xi, eta))
+    return VectorField(M, [
+        R.expr(R.normal(sum(X[j] * R.diff(Y[i], c[j])
+                            - Y[j] * R.diff(X[i], c[j]) for j in range(M.n))))
+        for i in range(M.n)])
 
 
 def vector_laplacian(M: MetricSpace, xi: VectorField) -> list:
-    """Delta_g xi^i = g^{jk} nabla_j nabla_k xi^i."""
-    n, c, gam = M.n, M.coords, M.christoffel
-    # T^i_k = nabla_k xi^i
-    T = [[normalize(sp.diff(xi[i], c[k]) + sum(gam[i][k][l] * xi[l] for l in range(n)))
-          for k in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        total = 0
-        for j in range(n):
-            for k in range(n):
-                S = (sp.diff(T[i][k], c[j])
-                     + sum(gam[i][j][l] * T[l][k] for l in range(n))
-                     - sum(gam[l][j][k] * T[i][l] for l in range(n)))
-                total += M.g_inv[j, k] * S
-        out.append(normalize(total))
-    return out
+    """Delta_g xi^i = g^{jk} nabla_j nabla_k xi^i as Exprs, computed in the
+    representation of xi; nabla_j T^i_k, for T = nabla xi, is the covariant
+    derivative of the vector T^i_k (fixed k) less Gamma^l_jk T^i_l."""
+    R = M.representation(*xi.components)
+    n, gam, gi = M.n, R.christoffel, R.g_inv
+    T = [[R.normal(e) for e in row]
+         for row in covariant_derivative(R, [R.of(e) for e in xi.components])]
+    DT = [covariant_derivative(R, [row[k] for row in T]) for k in range(n)]
+    return [R.expr(R.normal(sum(
+        gi[j][k] * (DT[k][i][j] - sum(gam[l][j][k] * T[i][l]
+                                      for l in range(n)))
+        for j in range(n) for k in range(n)))) for i in range(n)]
 
 
 @dataclass
@@ -571,32 +578,33 @@ class ConformalIdentityReport:
 
 def conformal_identity_checks(M: MetricSpace, xi: VectorField,
                               mu: Expr) -> ConformalIdentityReport:
-    """Consistency identities satisfied by every conformal Killing field."""
-    E = M.exprs
-    n, c = M.n, M.coords
-    failures = []
-    lap_xi = vector_laplacian(M, xi)
-    vec_ok = True
-    for i in range(n):
-        res = (lap_xi[i]
-               + sum(M.ricci[i][j] * xi[j] for j in range(n))
-               - sp.Rational(2 - n, 2) * sum(M.g_inv[i, j] * sp.diff(mu, c[j])
-                                             for j in range(n)))
-        if E.zero(res) is not Verdict.ZERO:
-            vec_ok = False
-            failures.append(f"vector identity fails in component {i}")
-    R = M.scalar_curvature
-    res = laplace_beltrami(E, mu) + sp.Rational(1, n - 1) * (
-        sum(xi[i] * sp.diff(R, c[i]) for i in range(n)) + mu * R)
-    fac_ok = E.zero(res) is Verdict.ZERO
+    """Consistency identities satisfied by every conformal Killing field,
+    decided in the representation of xi and mu."""
+    R = M.representation(*xi.components, mu)
+    n, c, gi = M.n, M.coords, R.g_inv
+    X, mu = [R.of(e) for e in xi.components], R.of(mu)
+    lap = [R.of(e) for e in vector_laplacian(M, xi)]
+    failures = [
+        f"vector identity fails in component {i}" for i in range(n)
+        if R.zero(lap[i] + sum(R.ricci[i][j] * X[j] for j in range(n))
+                  - sp.Rational(2 - n, 2) * sum(gi[i][j] * R.diff(mu, c[j])
+                                                for j in range(n)))
+        is not Verdict.ZERO]
+    vec_ok = not failures
+    scal = R.scalar_curvature
+    fac_ok = R.zero(laplace_beltrami(R, mu) + sp.Rational(1, n - 1) * (
+        sum(X[i] * R.diff(scal, c[i]) for i in range(n)) + mu * scal)
+    ) is Verdict.ZERO
     if not fac_ok:
         failures.append("conformal factor Laplacian identity fails")
     return ConformalIdentityReport(vec_ok, fac_ok, failures)
 
 
 def divergence_formula_residuals(M: MetricSpace) -> list:
-    """(sqrt g g^{ik})_,k + g^{pq} Gamma^i_pq sqrt g, per i (all should vanish)."""
-    n, c, sg = M.n, M.coords, M.sqrt_det
-    return [normalize(sum(sp.diff(sg * M.g_inv[i, k], c[k]) for k in range(n))
-                      + M.gamma_contracted[i] * sg)
+    """(sqrt g g^{ik})_,k + g^{pq} Gamma^i_pq sqrt g, per i (all should
+    vanish), as Exprs computed in the chart's representation."""
+    R = M.representation()
+    n, c, sg, gi = M.n, M.coords, R.sqrt_det, R.g_inv
+    return [R.expr(R.normal(sum(R.diff(sg * gi[i][k], c[k]) for k in range(n))
+                            + R.gamma_contracted[i] * sg))
             for i in range(n)]

@@ -35,6 +35,7 @@ from .geom import (
     InternalConsistencyError,
     MetricSpace,
     conformal_residual,
+    covariant_derivative,
     covariant_divergence,
 )
 
@@ -68,10 +69,8 @@ def euler_lagrange(lag: Lagrangian) -> Expr:
     """E(L) = dL/du - D_k dL/du_k; satisfies E(L) + sqrt(g) H = 0, decided
     in the representation of both."""
     M, T = lag.space, lag.space.table
-    e = T.diff_u(lag.L, T.u)
-    for k in range(M.n):
-        e -= M.exprs.total_derivative(sp.diff(lag.L, T.jet1(k)), k)
-    e = normalize(e)
+    e = normalize(T.diff_u(lag.L, T.u) - total_divergence(
+        M.exprs, [sp.diff(lag.L, T.jet1(k)) for k in range(M.n)]))
     H = poisson_equation(M, lag.nonlinearity)
     R = M.representation(e, H)
     if R.zero(R.of(e) + R.sqrt_det * R.of(H)) is not Verdict.ZERO:
@@ -106,25 +105,18 @@ def _covariant_prolongation(R, lag: Lagrangian, X: SymmetryGenerator):
     a, b, F, f = R.of(X.a), R.of(X.b), R.of(cls.F), R.of(cls.f)
     xi = [R.of(e) for e in X.xi.components]
     u, uj = R.of(T.u), [R.of(s) for s in T.first_jets]
-    gi, sg, gam = R.g_inv, R.sqrt_det, R.christoffel
+    gi, sg = R.g_inv, R.sqrt_det
 
     div = covariant_divergence(R, xi)
-    grad_xi = [[sum(gi[k][i] * (R.diff(xi[s], c[i])
-                                + sum(gam[s][i][l] * xi[l] for l in range(n)))
-                    for i in range(n))
+    nabla = covariant_derivative(R, xi)
+    grad_xi = [[sum(gi[k][i] * nabla[s][i] for i in range(n))
                 for s in range(n)] for k in range(n)]   # nabla^k xi^s
-    alt = 0
-    for k in range(n):
-        for s in range(n):
-            alt += sp.Rational(1, 2) * (gi[k][s] * div + 2 * a * gi[k][s]
-                                        - grad_xi[k][s] - grad_xi[s][k]) \
-                * sg * uj[k] * uj[s]
-    alt += -sg * div * F - sg * a * u * f - sg * b * f
-    for i in range(n):
-        for s in range(n):
-            alt += (R.diff(a, c[i]) * u + R.diff(b, c[i])) \
-                * sg * gi[i][s] * uj[s]
-    return alt
+    return sum(sp.Rational(1, 2) * (gi[k][s] * div + 2 * a * gi[k][s]
+                                    - grad_xi[k][s] - grad_xi[s][k])
+               * sg * uj[k] * uj[s]
+               + (R.diff(a, c[k]) * u + R.diff(b, c[k])) * sg * gi[k][s] * uj[s]
+               for k in range(n) for s in range(n)) \
+        - sg * div * F - sg * a * u * f - sg * b * f
 
 
 def _representation(lag: Lagrangian, X: SymmetryGenerator):

@@ -241,6 +241,16 @@ def test_suite_all_json_is_pinned(suite_reports):
             == golden.read_text())
 
 
+@pytest.mark.parametrize("name", catalog.GEOMETRY_NAMES)
+def test_curvature_json_is_pinned(name, capsys):
+    # the file maps each fixture to its `curvature --geometry G --json`
+    golden = json.loads((Path(__file__).parent / "data"
+                         / "curvature_all.json").read_text())
+    code, out, _ = run(capsys, "curvature", "--geometry", name, "--json")
+    assert code == EXIT_OK
+    assert out == json.dumps(golden[name], indent=2) + "\n"
+
+
 def test_export_prints_manifest(capsys):
     code, out, _ = run(capsys, "export", "sol")
     assert code == EXIT_OK
@@ -258,6 +268,11 @@ def test_unknown_geometry_exit_2(capsys):
     assert "error" in err
 
 
+def test_help_prints_usage(capsys):
+    code, out, _ = run(capsys, "curvature", "-h")
+    assert code == EXIT_OK and out.startswith("usage: ")
+
+
 def test_p2n6_wrong_dimension_exit_2(capsys):
     code, _, _ = run(capsys, "classify", "--geometry", "euclidean",
                      "--class", "p2n6")
@@ -271,7 +286,7 @@ def test_bad_json_exit_2(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
-def test_missing_args_exit_2(capsys):
+def test_missing_args_exit_2(capsys, tmp_path):
     code, _, _ = run(capsys, "noether", "--geometry", "euclidean",
                      "--class", "power", "R1")   # power without --p
     assert code == EXIT_INPUT
@@ -292,10 +307,31 @@ def test_missing_args_exit_2(capsys):
                     "constant", "--k", k, "R1")
                    for k in ("x", "u", "1/0", "0/0", "ln(0)", "0^(-1)")),
                  ("noether", "--geometry", "euclidean", "--class", "zero",
-                  "1/0,0,0")):
+                  "1/0,0,0"),
+                 # --geometry takes no manifest path
+                 ("curvature", "--geometry", "euclidean", "nosuch.json"),
+                 ("classify", "--geometry", "euclidean", "nosuch.json",
+                  "--class", "zero"),
+                 ("killing", "--geometry", "sol", "nosuch.json", "So1"),
+                 # malformed flag values and an unknown command: one line,
+                 # no usage block
+                 ("current", "--geometry", "euclidean", "--class", "critical",
+                  "R8", "--verify", "abc"),
+                 ("classify", "--geometry", "euclidean", "--class", "nosuch"),
+                 ("curvature", "--geometry", "euclidean", "--seed", "x"),
+                 ("nosuch",)):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
+    # the signature is riemannian or lorentzian
+    doc = {"manifold": {"coords": ["x", "y", "z"], "signature": 5},
+           "metric": {"g": [["1", "0", "0"], ["0", "1", "0"],
+                            ["0", "0", "1"]]}}
+    path = tmp_path / "signature.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "curvature", str(path))
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_commands_do_not_import_numpy():
