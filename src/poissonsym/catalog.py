@@ -775,8 +775,7 @@ def _noether_representative(gen: SymmetryGenerator, cls: NonlinearityClass,
     return gen
 
 
-def _run_class(fix: GeometryFixture, cname: str, report: SuiteReport,
-               verify_samples: int):
+def _run_class(fix: GeometryFixture, cname: str, report: SuiteReport):
     M = fix.space
     name, p = _SWEEP_ALIASES.get(cname, (cname, None))
     cls = NonlinearityClass.named(name, M, p, None)
@@ -829,7 +828,7 @@ def _run_class(fix: GeometryFixture, cname: str, report: SuiteReport,
         if not verify_current_symbolic(cur):
             current_failures.append(f"gen{idx}: symbolic divergence check")
             continue
-        num = verify_current_numeric(cur, samples=verify_samples)
+        num = verify_current_numeric(cur)
         if not num.passed:
             current_failures.append(
                 f"gen{idx}: numeric max divergence {num.max_divergence:.2e}")
@@ -873,8 +872,7 @@ def reconcile_reference_tables(fix: GeometryFixture):
     return results
 
 
-def run_fixture_suite(fixture, classes=DEFAULT_CLASSES,
-                      verify_samples: int = 100) -> SuiteReport:
+def run_fixture_suite(fixture, classes=DEFAULT_CLASSES) -> SuiteReport:
     """Run every fixture check; failures are collected, never raised."""
     fix = load(fixture) if isinstance(fixture, str) else fixture
     M = fix.space
@@ -930,8 +928,7 @@ def run_fixture_suite(fixture, classes=DEFAULT_CLASSES,
         guarded("extra_generators", extras)
 
     for cname in classes:
-        guarded(f"class:{cname}",
-                lambda c=cname: _run_class(fix, c, report, verify_samples))
+        guarded(f"class:{cname}", lambda c=cname: _run_class(fix, c, report))
 
     def reconciliation():
         for ref, observed, _ in reconcile_reference_tables(fix):

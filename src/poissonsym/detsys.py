@@ -39,6 +39,7 @@ from .geom import (
     conformal_factor,
     conformal_kind,
     conformal_residual,
+    gradient,
     laplace_beltrami,
 )
 
@@ -236,23 +237,17 @@ class NonlinearityClass:
         """Closed-form Noether potential phi^i of X in R, mu being X's
         conformal factor in R: X^(1)L + L D_i xi^i = D_i phi^i for a
         divergence symmetry."""
-        n, c, u = R.space.n, R.space.coords, R.of(self.u)
-        sg, gi = R.sqrt_det, R.g_inv
-
-        def grad_up(e):
-            return [sum(gi[i][j] * R.diff(e, c[j]) for j in range(n))
-                    for i in range(n)]
-
+        n, u, sg = R.space.n, R.of(self.u), R.sqrt_det
         if not (self.scaling or self.tag in (NonlinearityTag.CRITICAL,
                                              NonlinearityTag.POWER,
                                              NonlinearityTag.P2N6)):
             return [R.of(sp.Integer(0))] * n
-        gmu = grad_up(mu)
+        gmu = gradient(R, mu)
         if self.tag is NonlinearityTag.P2N6:
-            glap = grad_up(laplace_beltrami(R, mu))
+            glap = gradient(R, laplace_beltrami(R, mu))
             return [R.normal(-sg * gmu[i] * u**2 / 2 + sg * glap[i] * u)
                     for i in range(n)]
-        gb = grad_up(R.of(X.b)) if self.scaling else [0] * n
+        gb = gradient(R, R.of(X.b)) if self.scaling else [0] * n
         return [R.normal(sp.Rational(2 - n, 8) * sg * gmu[i] * u**2
                          + sg * gb[i] * u) for i in range(n)]
 

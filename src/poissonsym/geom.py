@@ -123,12 +123,9 @@ class MetricSpace:
 
     @cached_property
     def sqrt_det(self) -> Expr:
-        # |det g| so lorentzian metrics evaluate; signs recorded separately
-        d = self.det_g
-        if d.is_number and d.is_negative:
-            d = -d
-        elif self.signature == "lorentzian":
-            d = sp.Abs(d)
+        """sqrt |det g|; the signature check puts det g < 0 on the box of a
+        lorentzian chart."""
+        d = -self.det_g if self.signature == "lorentzian" else self.det_g
         fwd, back = self._positivity
         r = sp.sqrt(sp.factor(d.subs(fwd)))
         return normalize(sp.powsimp(r).subs(back))
@@ -153,17 +150,17 @@ class MetricSpace:
     @cached_property
     def _chart(self) -> "ExprRep | FieldRep":
         """The representation the tensors are derived in: the field when g
-        and sqrt g convert (every derived tensor then does), else Exprs."""
+        converts (every tensor derived from g then does), else Exprs."""
         rep = FieldRep(self)
-        if all(rep.converts(e) for e in [*self.g, self.sqrt_det]):
-            return rep
-        return self.exprs
+        return rep if all(rep.converts(e) for e in self.g) else self.exprs
 
     def representation(self, *exprs) -> "ExprRep | FieldRep":
-        """The chart's field representation when every expression given
-        converts to the table's rational function field, else the Expr one."""
+        """The chart's field representation when sqrt g and every expression
+        given convert to the table's rational function field, else the Expr
+        one."""
         rep = self._chart
-        if rep is not self.exprs and all(rep.converts(e) for e in exprs):
+        if rep is not self.exprs and all(
+                rep.converts(e) for e in (self.sqrt_det, *exprs)):
             return rep
         return self.exprs
 
@@ -273,20 +270,8 @@ class _Rep:
 
     @cached_property
     def jet_laplacian(self):
-        """Delta_g u on the jet space, g^{ij} u_ij - Gamma^i u_i (not
-        normal), cross-checked against (1/sqrt g) D_i(sqrt g g^{ij} u_j)."""
-        T, n, gi = self.table, self.space.n, self.g_inv
-        u1 = [self.of(T.jet1(i)) for i in range(n)]
-        lap = (sum(gi[i][j] * self.of(T.jet2(i, j))
-                   for i in range(n) for j in range(n))
-               - sum(self.gamma_contracted[i] * u1[i] for i in range(n)))
-        sg = self.sqrt_det
-        div_form = sum(self.total_derivative(
-            sg * sum(gi[i][j] * u1[j] for j in range(n)), i)
-            for i in range(n)) / sg
-        if self.zero(lap - div_form) is not Verdict.ZERO:
-            raise InternalConsistencyError("Poisson equation forms disagree")
-        return lap
+        """Delta_g u on the jet space, g^{ij} u_ij - Gamma^i u_i."""
+        return laplace_beltrami(self, self.of(self.table.u))
 
     def constant(self, e) -> bool:
         """Whether every coordinate derivative of e is zero."""
@@ -318,9 +303,13 @@ class ExprRep(_Rep):
         return T.diff_u(e, s) if s == T.u else sp.diff(e, s)
 
     def total_derivative(self, e, k: int) -> Expr:
-        """D_k = d/dx^k + u_k d/du + u_{ks} d/du_s on a jet expression."""
+        """D_k = d/dx^k + u_k d/du + u_{ks} d/du_s on a jet expression,
+        d/dx^k on a function of the coordinates."""
         T = self.table
-        out = sp.diff(e, T.coords[k]) + T.jet1(k) * T.diff_u(e, T.u)
+        out = sp.diff(e, T.coords[k])
+        if T.coordinate_only(e):
+            return out
+        out += T.jet1(k) * T.diff_u(e, T.u)
         for s in range(len(T.coords)):
             out += T.jet2(k, s) * sp.diff(e, T.jet1(s))
         return out
@@ -371,13 +360,18 @@ class FieldRep(_Rep):
     def diff(self, e, s: sp.Symbol):
         """de/ds, remembered: the solver differentiates the same metric,
         curvature and basis elements for every unit."""
-        key = (e, s)
-        if key not in self._derivatives:
-            self._derivatives[key] = self.table.field_diff(e, s)
-        return self._derivatives[key]
+        return self._remembered(self.table.field_diff, e, s)
 
     def total_derivative(self, e, k: int):
-        return self.table.field_total_derivative(e, k)
+        """D_k e, remembered: Delta_g of the same b and mu recurs for every
+        unit and generator."""
+        return self._remembered(self.table.field_total_derivative, e, k)
+
+    def _remembered(self, derive, e, arg):
+        key = (e, arg)
+        if key not in self._derivatives:
+            self._derivatives[key] = derive(e, arg)
+        return self._derivatives[key]
 
     def zero(self, e) -> Verdict:
         return Verdict.NONZERO if e else Verdict.ZERO
@@ -465,17 +459,31 @@ def covariant_derivative(R, xi: list) -> list:
              for k in range(n)] for i in range(n)]
 
 
-def covariant_divergence(R, xi: list):
-    """div(xi) = nabla_j xi^j in R, for xi as in lie_derivative_metric;
-    cross-checked against the (1/sqrt g)(sqrt g xi^j)_,j form."""
-    n, c, sg = R.space.n, R.space.coords, R.sqrt_det
-    nabla = covariant_derivative(R, xi)
-    direct = R.normal(sum(nabla[j][j] for j in range(n)))
-    alt = R.normal(sum(R.diff(sg * xi[j], c[j]) for j in range(n)) / sg)
-    if (R.normal(direct - alt) != 0
-            and R.zero(direct - alt) is Verdict.NONZERO):
+def gradient(R, phi) -> list:
+    """grad phi^i = g^{ij} D_j phi in R for phi in R, a function of the
+    coordinates (D_j is then d/dx^j) or of the jet space; not normal."""
+    n, gi = R.space.n, R.g_inv
+    d = [R.total_derivative(phi, j) for j in range(n)]
+    return [sum(gi[i][j] * d[j] for j in range(n)) for i in range(n)]
+
+
+def divergence(R, V: list):
+    """div V = nabla_j V^j = D_j V^j + Gamma^j_jl V^l in R, normal, for
+    components V in R as in gradient; raises InternalConsistencyError
+    unless it is decided equal to (1/sqrt g) D_j(sqrt g V^j)."""
+    n, gam, sg = R.space.n, R.christoffel, R.sqrt_det
+    div = R.normal(sum(R.total_derivative(V[j], j)
+                       + sum(gam[j][j][l] * V[l] for l in range(n))
+                       for j in range(n)))
+    alt = sum(R.total_derivative(sg * V[j], j) for j in range(n)) / sg
+    if R.zero(R.normal(div - alt)) is not Verdict.ZERO:
         raise InternalConsistencyError("divergence forms disagree")
-    return direct
+    return div
+
+
+def covariant_divergence(R, xi: list):
+    """div(xi) in R, for xi as in lie_derivative_metric."""
+    return divergence(R, xi)
 
 
 def conformal_kind(R, mu) -> ConformalVerdict:
@@ -524,20 +532,8 @@ def _max_abs_sample(e: Expr, policy: ZeroTestPolicy) -> float:
 
 
 def laplace_beltrami(R, phi):
-    """Delta_g phi in R for phi in R, divergence form, cross-checked
-    against g^{ij} phi_ij - Gamma^i phi_i."""
-    n, c, gi, sg = R.space.n, R.space.coords, R.g_inv, R.sqrt_det
-    d = [R.diff(phi, x) for x in c]
-    div_form = R.normal(sum(
-        R.diff(sg * sum(gi[i][j] * d[j] for j in range(n)), c[i])
-        for i in range(n)) / sg)
-    alt = R.normal(
-        sum(gi[i][j] * R.diff(d[i], c[j]) for i in range(n) for j in range(n))
-        - sum(R.gamma_contracted[i] * d[i] for i in range(n)))
-    if (R.normal(div_form - alt) != 0
-            and R.zero(div_form - alt) is not Verdict.ZERO):
-        raise InternalConsistencyError("Laplace-Beltrami forms disagree")
-    return div_form
+    """Delta_g phi = div grad phi in R, normal, for phi as in gradient."""
+    return divergence(R, gradient(R, phi))
 
 
 def lie_bracket(xi: VectorField, eta: VectorField) -> VectorField:
@@ -581,15 +577,14 @@ def conformal_identity_checks(M: MetricSpace, xi: VectorField,
     """Consistency identities satisfied by every conformal Killing field,
     decided in the representation of xi and mu."""
     R = M.representation(*xi.components, mu)
-    n, c, gi = M.n, M.coords, R.g_inv
+    n, c = M.n, M.coords
     X, mu = [R.of(e) for e in xi.components], R.of(mu)
     lap = [R.of(e) for e in vector_laplacian(M, xi)]
+    grad_mu = gradient(R, mu)
     failures = [
         f"vector identity fails in component {i}" for i in range(n)
         if R.zero(lap[i] + sum(R.ricci[i][j] * X[j] for j in range(n))
-                  - sp.Rational(2 - n, 2) * sum(gi[i][j] * R.diff(mu, c[j])
-                                                for j in range(n)))
-        is not Verdict.ZERO]
+                  - sp.Rational(2 - n, 2) * grad_mu[i]) is not Verdict.ZERO]
     vec_ok = not failures
     scal = R.scalar_curvature
     fac_ok = R.zero(laplace_beltrami(R, mu) + sp.Rational(1, n - 1) * (

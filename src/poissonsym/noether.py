@@ -37,6 +37,7 @@ from .geom import (
     conformal_residual,
     covariant_derivative,
     covariant_divergence,
+    gradient,
 )
 
 
@@ -52,8 +53,8 @@ class Lagrangian:
 
     def __post_init__(self):
         M, T = self.space, self.space.table
-        kinetic = sum(M.g_inv[i, j] * T.jet1(i) * T.jet1(j)
-                      for i in range(M.n) for j in range(M.n))
+        grad_u = gradient(M.exprs, T.u)
+        kinetic = sum(T.jet1(i) * grad_u[i] for i in range(M.n))
         self.L = normalize(M.sqrt_det * kinetic / 2
                            - self.nonlinearity.F * M.sqrt_det)
 
@@ -230,13 +231,11 @@ def build_current(lag: Lagrangian, X: SymmetryGenerator,
     n = M.n
     Q = _characteristic(M.exprs, X)
     phi = verdict.potential or [sp.Integer(0)] * n
-    comps = []
-    for k in range(n):
-        A = X.xi[k] * lag.L + Q * M.sqrt_det * sum(
-            M.g_inv[k, j] * T.jet1(j) for j in range(n)) - phi[k]
-        # kept in factored form: canonicalizing here balloons the rational
-        # jet expressions, and every consumer samples or normalizes anyway
-        comps.append(A)
+    grad_u = gradient(M.exprs, T.u)
+    # kept in factored form: canonicalizing here balloons the rational jet
+    # expressions, and every consumer samples or normalizes anyway
+    comps = [X.xi[k] * lag.L + Q * M.sqrt_det * grad_u[k] - phi[k]
+             for k in range(n)]
     return ConservedCurrent(comps, X, lag.nonlinearity, phi)
 
 

@@ -378,6 +378,22 @@ def test_declared_signature_is_checked(signature, diagonal, code, tmp_path,
         assert err.startswith("geometry error: ") and err.count("\n") == 1
 
 
+def test_lorentzian_current_on_a_curved_chart(tmp_path, capsys):
+    # sqrt|g| = sqrt(-det g), det g = t < 0 on the box: the current carries
+    # sqrt(-t) and both of its checks pass
+    doc = {"manifold": {"coords": ["t", "x", "y"], "signature": "lorentzian",
+                        "box": {"t": [-2, -0.5]}},
+           "metric": {"g": [["t", "0", "0"], ["0", "1", "0"],
+                            ["0", "0", "1"]]}}
+    path = tmp_path / "lorentzian.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "current", str(path), "--class", "arbitrary",
+                         "0,1,0", "--verify", "5")
+    assert (code, err) == (EXIT_OK, "")
+    assert "sqrt(-t)" in out and "Abs" not in out
+    assert out.count(": PASS") == 2
+
+
 @pytest.mark.parametrize("cls", ["critical", "zero", "arbitrary"])
 def test_two_dimensional_chart_exit_3(cls, tmp_path, capsys):
     doc = {"manifold": {"coords": ["x", "y"]},

@@ -8,9 +8,11 @@ import pytest
 import sympy as sp
 
 from poissonsym import catalog
+from poissonsym.detsys import NonlinearityClass, poisson_equation
 from poissonsym.exprcore import Verdict, eval_num, is_zero, normalize
-from poissonsym.geom import (GeometryError, MetricSpace, VectorField,
-                             ConformalVerdict, conformal_check,
+from poissonsym.geom import (FieldRep, GeometryError,
+                             InternalConsistencyError, MetricSpace,
+                             VectorField, ConformalVerdict, conformal_check,
                              conformal_identity_checks, covariant_divergence,
                              divergence_formula_residuals, laplace_beltrami,
                              lie_bracket, lie_derivative_metric)
@@ -153,6 +155,51 @@ def test_laplacian_forms_agree_on_random_polynomials(name):
                   for i in range(M.n))
         assert is_zero(laplace_beltrami(M.exprs, phi) - direct,
                        pol) is Verdict.ZERO
+
+
+HALF_SPACE = [["1/z^2", "0", "0"], ["0", "1/z^2", "0"], ["0", "0", "1/z^2"]]
+
+
+@pytest.mark.parametrize("what", ["christoffel", "sqrt_det", "inconclusive"])
+@pytest.mark.parametrize("route", ["field", "exprs"])
+def test_divergence_cross_check_raises(route, what, monkeypatch):
+    """Delta_g, div xi and the jet Laplacian in H share one cross-check,
+    which raises unless the two divergence forms are decided equal: break
+    the Christoffel symbols (zeroed), sqrt g (times z) or the zero test
+    (inconclusive)."""
+    M = MetricSpace(["x", "y", "z"], HALF_SPACE, box={"z": (0.5, 2.0)})
+    x, y, z = M.coords
+    R = M.representation() if route == "field" else M.exprs
+    assert isinstance(R, FieldRep) == (route == "field")
+    # f = exp(u) keeps H on the Expr route
+    cls = (NonlinearityClass.power(M.table.u, 5, 3) if route == "field"
+           else NonlinearityClass.exponential(M.table.u))
+    assert cls.representation(M) is R
+    if what == "christoffel":
+        zero = R.of(sp.Integer(0))
+        monkeypatch.setattr(R, "christoffel", [[[zero] * 3] * 3] * 3)
+    elif what == "sqrt_det":
+        monkeypatch.setattr(R, "sqrt_det", R.sqrt_det * R.of(z))
+    else:
+        monkeypatch.setattr(R, "zero", lambda e: Verdict.INCONCLUSIVE)
+    with pytest.raises(InternalConsistencyError):
+        laplace_beltrami(R, R.of(x**2 + z**2))
+    with pytest.raises(InternalConsistencyError):
+        covariant_divergence(R, [R.of(e) for e in (x, y, z)])
+    with pytest.raises(InternalConsistencyError):
+        poisson_equation(M, cls)
+
+
+def test_rational_metric_tensors_in_the_field():
+    """g converts but sqrt g does not: the tensors are derived in the field,
+    identities involving sqrt g run on Exprs."""
+    M = MetricSpace(["x", "y", "z"],
+                    [["3", "1/x", "-1"], ["1/x", "2+x^2", "-1"],
+                     ["-1", "-1", "2+y^2"]], box={"x": (1.0, 2.0)})
+    assert isinstance(M._chart, FieldRep)
+    assert M.representation() is M.exprs
+    lap_z = laplace_beltrami(M.exprs, M.coords[2])
+    assert is_zero(lap_z + M.gamma_contracted[2], M.policy()) is Verdict.ZERO
 
 
 # ---------------------------------------------------------------------------
