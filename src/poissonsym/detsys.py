@@ -36,7 +36,6 @@ from .geom import (
     GeometryError,
     MetricSpace,
     VectorField,
-    conformal_factor,
     conformal_kind,
     conformal_residual,
     gradient,
@@ -406,16 +405,6 @@ def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
         sp.Matrix([[R.expr(e) for e in row] for row in res1]),
         [R.expr(r) for r in res2], R.expr(res3), R.expr(mu), verdict,
         {"conformal": v1, "gradient": v2, "nonlinearity": v3}, warnings)
-
-
-def scaling_gradient_residuals(M: MetricSpace, X: SymmetryGenerator) -> list:
-    """lambda_i - ((n+2)/(n-2)) a_i with lambda = a - mu; vanishes whenever
-    the conformal and gradient determining equations hold."""
-    n, c = M.n, M.coords
-    mu = conformal_factor(M, X.xi)
-    lam = X.a - mu
-    return [normalize(sp.diff(lam, x) - sp.Rational(n + 2, n - 2) * sp.diff(X.a, x))
-            for x in c]
 
 
 # ---------------------------------------------------------------------------

@@ -343,15 +343,12 @@ class FieldRep(_Rep):
                 f"{e} lies outside the rational function field")
         return self._elements[e]
 
-    def remember(self, e: Expr, p) -> None:
-        """Record p, computed in the field, as the element of e."""
-        self._elements[e] = p
-
     def expr(self, p) -> Expr:
         """p as the Expr normalize gives on the Expr route (the field leaves
-        the sign of a denominator open; cancel fixes it)."""
+        the sign of a denominator open; cancel fixes it), recorded as the
+        Expr's element."""
         e = normalize(p.as_expr()) if p else sp.Integer(0)
-        self.remember(e, p)
+        self._elements[e] = p
         return e
 
     def normal(self, e):
@@ -481,11 +478,6 @@ def divergence(R, V: list):
     return div
 
 
-def covariant_divergence(R, xi: list):
-    """div(xi) in R, for xi as in lie_derivative_metric."""
-    return divergence(R, xi)
-
-
 def conformal_kind(R, mu) -> ConformalVerdict:
     """KILLING when the factor mu (in R) is zero, HOMOTHETY when it is a
     nonzero constant, CONFORMAL_KILLING otherwise."""
@@ -515,7 +507,7 @@ def conformal_check(M: MetricSpace, xi: VectorField,
         return ConformalReport(ConformalVerdict.NOT_CONFORMAL, R.expr(mu),
                                max_res, warnings)
     # Lemma-1 cross-check: div(xi) = (n/2) mu
-    div = covariant_divergence(R, comps)
+    div = divergence(R, comps)
     if R.zero(div - sp.Rational(M.n, 2) * mu) is not Verdict.ZERO:
         raise InternalConsistencyError("div(xi) != (n/2) mu for conformal field")
     kind = conformal_kind(R, mu)

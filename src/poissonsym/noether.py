@@ -29,14 +29,14 @@ from enum import Enum
 
 import sympy as sp
 
-from .exprcore import Expr, Verdict, normalize
+from .exprcore import Expr, Verdict
 from .detsys import NonlinearityClass, SymmetryGenerator, poisson_equation
 from .geom import (
     InternalConsistencyError,
     MetricSpace,
     conformal_residual,
     covariant_derivative,
-    covariant_divergence,
+    divergence,
     gradient,
 )
 
@@ -52,11 +52,13 @@ class Lagrangian:
     L: Expr = None
 
     def __post_init__(self):
-        M, T = self.space, self.space.table
-        grad_u = gradient(M.exprs, T.u)
-        kinetic = sum(T.jet1(i) * grad_u[i] for i in range(M.n))
-        self.L = normalize(M.sqrt_det * kinetic / 2
-                           - self.nonlinearity.F * M.sqrt_det)
+        """L built in the representation of F and printed from it."""
+        M, T, cls = self.space, self.space.table, self.nonlinearity
+        R = cls.representation(M)
+        grad_u = gradient(R, R.of(T.u))
+        kinetic = sum(R.of(T.jet1(i)) * grad_u[i] for i in range(M.n))
+        self.L = R.expr(R.normal(R.sqrt_det * kinetic / 2
+                                 - R.of(cls.F) * R.sqrt_det))
 
 
 def total_divergence(R, comps):
@@ -67,16 +69,17 @@ def total_divergence(R, comps):
 
 
 def euler_lagrange(lag: Lagrangian) -> Expr:
-    """E(L) = dL/du - D_k dL/du_k; satisfies E(L) + sqrt(g) H = 0, decided
-    in the representation of both."""
+    """E(L) = dL/du - D_k dL/du_k, computed in the representation of L, f
+    and F; satisfies E(L) + sqrt(g) H = 0, decided there."""
     M, T = lag.space, lag.space.table
-    e = normalize(T.diff_u(lag.L, T.u) - total_divergence(
-        M.exprs, [sp.diff(lag.L, T.jet1(k)) for k in range(M.n)]))
+    R = lag.nonlinearity.representation(M, lag.L)
+    L = R.of(lag.L)
+    e = R.normal(R.diff(L, T.u) - total_divergence(
+        R, [R.diff(L, T.jet1(k)) for k in range(M.n)]))
     H = poisson_equation(M, lag.nonlinearity)
-    R = M.representation(e, H)
-    if R.zero(R.of(e) + R.sqrt_det * R.of(H)) is not Verdict.ZERO:
+    if R.zero(e + R.sqrt_det * R.of(H)) is not Verdict.ZERO:
         raise InternalConsistencyError("E(L) + sqrt(g) H does not vanish")
-    return e
+    return R.expr(e)
 
 
 def _prolongation(R, lag: Lagrangian, X: SymmetryGenerator):
@@ -108,7 +111,7 @@ def _covariant_prolongation(R, lag: Lagrangian, X: SymmetryGenerator):
     u, uj = R.of(T.u), [R.of(s) for s in T.first_jets]
     gi, sg = R.g_inv, R.sqrt_det
 
-    div = covariant_divergence(R, xi)
+    div = divergence(R, xi)
     nabla = covariant_derivative(R, xi)
     grad_xi = [[sum(gi[k][i] * nabla[s][i] for i in range(n))
                 for s in range(n)] for k in range(n)]   # nabla^k xi^s
@@ -128,24 +131,16 @@ def _representation(lag: Lagrangian, X: SymmetryGenerator):
 
 
 def prolong_apply(lag: Lagrangian, X: SymmetryGenerator) -> Expr:
-    """X^(1)L + L D_i xi^i as an Expr, computed from the explicit
-    first-prolongation coefficients and cross-checked against the covariant
-    closed form in the representation of the Noether test.  In the field an
-    exact zero is returned as 0, and any other value is remembered as the
-    element of its Expr form."""
-    M = lag.space
+    """X^(1)L + L D_i xi^i, computed from the explicit first-prolongation
+    coefficients and cross-checked against the covariant closed form in the
+    representation of the Noether test, and printed from it: in normal
+    form in the field, unnormalized on the Expr route."""
     R = _representation(lag, X)
     res = _prolongation(R, lag, X)
     if R.zero(res - _covariant_prolongation(R, lag, X)) is not Verdict.ZERO:
         raise InternalConsistencyError(
             "prolongation routes disagree for X^(1)L + L D_i xi^i")
-    if R is M.exprs:
-        return res
-    if not res:
-        return sp.Integer(0)
-    expr = _prolongation(M.exprs, lag, X)
-    R.remember(expr, res)
-    return expr
+    return R.expr(res)
 
 
 class NoetherKind(Enum):

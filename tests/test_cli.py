@@ -185,6 +185,8 @@ def test_noether_divergence_critical(capsys):
                                 "--class", "critical", "R8")
     assert code == EXIT_OK
     assert payload["verdict"] == "Divergence"
+    # printed from the field, in normal form
+    assert payload["residual"] == "-u*u_z/2"
     assert payload["potential"][0] == "0"
     assert normalize(parse(payload["potential"][2],
                            catalog.load("euclidean").space.table)
@@ -319,7 +321,8 @@ def test_missing_args_exit_2(capsys, tmp_path):
                   "R8", "--verify", "abc"),
                  ("classify", "--geometry", "euclidean", "--class", "nosuch"),
                  ("curvature", "--geometry", "euclidean", "--seed", "x"),
-                 ("nosuch",)):
+                 ("nosuch",),
+                 ("suite", "--geometry", "nosuch")):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -413,7 +416,8 @@ def test_non_symmetry_exit_4(capsys):
     code, _, err = run(capsys, "current", "--geometry", "euclidean",
                        "--class", "exponential", "R13")
     assert code == EXIT_SYMMETRY
-    assert "symmetry error" in err
+    assert err == ("symmetry error: no conserved current: "
+                   "symmetry is NotNoether\n")
 
 
 def test_not_a_symmetry_exit_4(capsys):

@@ -13,7 +13,7 @@ from poissonsym.exprcore import Verdict, eval_num, is_zero, normalize
 from poissonsym.geom import (FieldRep, GeometryError,
                              InternalConsistencyError, MetricSpace,
                              VectorField, ConformalVerdict, conformal_check,
-                             conformal_identity_checks, covariant_divergence,
+                             conformal_identity_checks, divergence,
                              divergence_formula_residuals, laplace_beltrami,
                              lie_bracket, lie_derivative_metric)
 
@@ -185,7 +185,7 @@ def test_divergence_cross_check_raises(route, what, monkeypatch):
     with pytest.raises(InternalConsistencyError):
         laplace_beltrami(R, R.of(x**2 + z**2))
     with pytest.raises(InternalConsistencyError):
-        covariant_divergence(R, [R.of(e) for e in (x, y, z)])
+        divergence(R, [R.of(e) for e in (x, y, z)])
     with pytest.raises(InternalConsistencyError):
         poisson_equation(M, cls)
 
@@ -219,7 +219,7 @@ def test_euler_field_homothety(flat):
     rep = conformal_check(flat, xi)
     assert rep.verdict is ConformalVerdict.HOMOTHETY
     assert rep.mu == 2
-    assert normalize(covariant_divergence(flat.exprs, xi.components) - 3) == 0
+    assert normalize(divergence(flat.exprs, xi.components) - 3) == 0
 
 
 def test_hyperbolic_dilation_is_killing(hyperbolic):
@@ -261,7 +261,7 @@ def test_not_conformal(flat):
 
 
 def test_sol_translation_divergence_free(sol):
-    assert normalize(covariant_divergence(
+    assert normalize(divergence(
         sol.exprs, VectorField(sol, [0, 1, 0]).components)) == 0
 
 

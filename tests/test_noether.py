@@ -296,17 +296,24 @@ def test_mutated_current_fails_symbolic_check(flat):
 def test_rational_noether_identities_compile_nothing(monkeypatch, geometry,
                                                      cls_name, field):
     """In the rational function field the Noether tests and the symbolic
-    current check are exact: nothing is sampled, so nothing is compiled."""
+    current check are exact: nothing is sampled, so nothing is compiled.
+    L, E(L) and the Noether residual are derived there too, so no Expr is
+    differentiated."""
     fix = catalog.load(geometry)
     M = fix.space
     cls = NonlinearityClass.named(cls_name, M, None, None)
     gen = fix.generator(field)
-    lag = Lagrangian(M, cls)
 
-    def no_lambdify(*args, **kwargs):
-        raise AssertionError("lambdify called")
-    monkeypatch.setattr(sp, "lambdify", no_lambdify)
-    verdict = noether_classify(lag, gen)
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+    monkeypatch.setattr(sp, "lambdify", forbidden("lambdify"))
+    with monkeypatch.context() as m:
+        m.setattr(sp, "diff", forbidden("sympy.diff"))
+        lag = Lagrangian(M, cls)
+        verdict = noether_classify(lag, gen)
+        euler_lagrange(lag)
     assert verdict.kind in (NoetherKind.VARIATIONAL, NoetherKind.DIVERGENCE)
     assert verify_current_symbolic(build_current(lag, gen, verdict))
 
