@@ -851,6 +851,7 @@ def reconcile_reference_tables(fix: GeometryFixture):
     per-component residual expressions).
     """
     M = fix.space
+    lags = {}                                  # one Lagrangian per class
     results = []
     for ref in fix.reference_currents:
         if ref.symmetry == "b":
@@ -861,8 +862,8 @@ def reconcile_reference_tables(fix: GeometryFixture):
         else:
             cls = NonlinearityClass.arbitrary(M.table.u)
             gen = fix.generator(ref.symmetry)
-        lag = Lagrangian(M, cls)
-        cur = build_current(lag, gen)
+        lags[cls] = lags.get(cls) or Lagrangian(M, cls)
+        cur = build_current(lags[cls], gen)
         expected = [parse(c, M.table) for c in ref.components]
         R = M.representation(*cur.components, *expected)
         residuals = [a - b for a, b in zip(cur.components, expected)]

@@ -343,11 +343,12 @@ class FieldRep(_Rep):
                 f"{e} lies outside the rational function field")
         return self._elements[e]
 
-    def expr(self, p) -> Expr:
-        """p as the Expr normalize gives on the Expr route (the field leaves
-        the sign of a denominator open; cancel fixes it), recorded as the
-        Expr's element."""
-        e = normalize(p.as_expr()) if p else sp.Integer(0)
+    def expr(self, p, e: Expr | None = None) -> Expr:
+        """p as e, an Expr of p built elsewhere, or else as the Expr normalize
+        gives on the Expr route (the field leaves the sign of a denominator
+        open; cancel fixes it); recorded as the Expr's element."""
+        if e is None:
+            e = normalize(p.as_expr()) if p else sp.Integer(0)
         self._elements[e] = p
         return e
 

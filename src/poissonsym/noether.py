@@ -22,6 +22,7 @@ it on the flat translation current, where -SIGMA fails.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, field
@@ -62,9 +63,7 @@ class Lagrangian:
 
 
 def total_divergence(R, comps):
-    """D_k comps[k] in R for comps in R.  Exprs are left unnormalized: every
-    consumer either samples the result or decides it with R.zero, which
-    canonicalizes once."""
+    """D_k comps[k] in R, unnormalized: every consumer decides it by R.zero."""
     return sum(R.total_derivative(comps[k], k) for k in range(R.space.n))
 
 
@@ -201,9 +200,6 @@ class ConservedCurrent:
     components: list
     generator: SymmetryGenerator
     nonlinearity: NonlinearityClass
-    potential: list
-    symbolic_verified: bool | None = None
-    max_divergence: float | None = None
 
     @property
     def space(self) -> MetricSpace:
@@ -222,16 +218,22 @@ def build_current(lag: Lagrangian, X: SymmetryGenerator,
         verdict = noether_classify(lag, X)
     if verdict.kind not in (NoetherKind.VARIATIONAL, NoetherKind.DIVERGENCE):
         raise NoetherError(f"no conserved current: symmetry is {verdict.kind.value}")
-    M, T = lag.space, lag.space.table
-    n = M.n
-    Q = _characteristic(M.exprs, X)
-    phi = verdict.potential or [sp.Integer(0)] * n
-    grad_u = gradient(M.exprs, T.u)
-    # kept in factored form: canonicalizing here balloons the rational jet
-    # expressions, and every consumer samples or normalizes anyway
-    comps = [X.xi[k] * lag.L + Q * M.sqrt_det * grad_u[k] - phi[k]
-             for k in range(n)]
-    return ConservedCurrent(comps, X, lag.nonlinearity, phi)
+    M = lag.space
+    phi = verdict.potential or [sp.Integer(0)] * M.n
+    # factored Exprs (normal forms balloon), recorded in the field by Expr
+    comps = _current(M.exprs, lag, X, phi)
+    R = _representation(lag, X)
+    if R is not M.exprs:
+        comps = [R.expr(p, e) for p, e in zip(_current(R, lag, X, phi), comps)]
+    return ConservedCurrent(comps, X, lag.nonlinearity)
+
+
+def _current(R, lag: Lagrangian, X: SymmetryGenerator, phi: list) -> list:
+    """A^k in R, for Exprs phi."""
+    L, Q = R.of(lag.L), _characteristic(R, X)
+    grad_u = gradient(R, R.of(lag.space.table.u))
+    return [R.of(X.xi[k]) * L + Q * R.sqrt_det * grad_u[k] - R.of(phi[k])
+            for k in range(lag.space.n)]
 
 
 def _characteristic(R, X: SymmetryGenerator):
@@ -243,19 +245,22 @@ def _characteristic(R, X: SymmetryGenerator):
 
 #: sign in D_k A^k = SIGMA sqrt(g) Q H
 SIGMA = 1
+#: the complex step of verify_current_numeric
+STEP = 1e-30
+#: cmath as a dict: sympy < 1.14 knows no module name "cmath"
+_CMATH = {k: v for k, v in vars(cmath).items() if not k.startswith("_")}
 
 
 def verify_current_symbolic(cur: ConservedCurrent) -> bool:
     """Check D_k A^k = SIGMA sqrt(g) (eta - xi^k u_k) H identically in the
-    jet variables, in the field when the current, X and H convert."""
+    jet variables, in the field when the current, X and H convert; a
+    component build_current recorded there is not converted again."""
     M, X, cls = cur.space, cur.generator, cur.nonlinearity
     H = poisson_equation(M, cls)
     R = M.representation(*cur.components, *X.xi.components, X.eta(), H)
     div = total_divergence(R, [R.of(e) for e in cur.components])
     Q = _characteristic(R, X)
-    ok = R.zero(div - SIGMA * R.sqrt_det * Q * R.of(H)) is Verdict.ZERO
-    cur.symbolic_verified = ok
-    return ok
+    return R.zero(div - SIGMA * R.sqrt_det * Q * R.of(H)) is Verdict.ZERO
 
 
 @dataclass
@@ -273,21 +278,25 @@ def verify_current_numeric(cur: ConservedCurrent, samples: int = 100,
     """Sample jet points (u_11 solved from H = 0 when on_shell) and bound
     |D_k A^k|; PASS iff below 1e-7 * (1 + current magnitude scale).
 
-    Two functions are compiled: (g^00, H at u_11 = 0) for the on-shell
-    solve and (D_k A^k, A^0, ..., A^{n-1}), with D_k A^k differentiated
-    from the Expr components, independently of the symbolic check."""
+    (g^00, H at u_11 = 0) is compiled with math for the on-shell solve, and
+    the components A^k with the direction v_k of D_k (D_k of each of their
+    symbols) with cmath: D_k A^k is the complex step (Squire & Trapp 1998)
+    sum_k Im A^k(p + i STEP v_k) / STEP, exact to rounding and independent
+    of the symbolic check.  Points where a component is undefined or not
+    real (a branch cut) are skipped."""
     if samples < 1:
         raise NoetherError(f"need at least one sample, not {samples}")
     M, T = cur.space, cur.space.table
-    div = total_divergence(M.exprs, cur.components)
     H = poisson_equation(M, cur.nonlinearity)
+    free = set().union(*[c.free_symbols for c in cur.components])
+    chain = {g for f, g in T.CHAIN if f in free}     # D_k F_val = f_val u_k
     syms = list(M.coords) + T.all_jets()
-    syms += sorted((div.free_symbols | H.free_symbols
-                    | set().union(*[c.free_symbols for c in cur.components]))
-                   - set(syms), key=str)
-    u11 = T.jet2(0, 0)
+    syms += sorted((free | chain | H.free_symbols) - set(syms), key=str)
+    u11, n = T.jet2(0, 0), M.n
     shell = sp.lambdify(syms, (M.g_inv[0, 0], H.subs(u11, 0)), "math")
-    check = sp.lambdify(syms, (div, *cur.components), "math")
+    current = sp.lambdify(syms, [cur.components, [
+        [M.exprs.total_derivative(s, k) if s in free else 0 for s in syms]
+        for k in range(n)]], [_CMATH])
     pol = M.policy()
     rng = random.Random(seed)
     divs, scale, attempts = [], 0.0, 0
@@ -299,23 +308,24 @@ def verify_current_numeric(cur: ConservedCurrent, samples: int = 100,
             if on_shell:
                 vals[u11] = 0.0
                 coef, rest = shell(*[vals[s] for s in syms])
-                if abs(coef) < 1e-9:
+                if complex in (type(coef), type(rest)) or abs(coef) < 1e-9:
                     continue
                 vals[u11] = -rest / coef
-            d, *comps = check(*[vals[s] for s in syms])
+            point = [vals[s] for s in syms]
+            comps, v = current(*point)
+            if any(a.imag for a in comps):
+                continue
+            d = sum(current(*[p + 1j * STEP * c for p, c in zip(point, v[k])])
+                    [0][k].imag for k in range(n)) / STEP
             a_mag = max(abs(a) for a in comps)
         except (ValueError, ZeroDivisionError, OverflowError):
             continue
-        if not all(not isinstance(v, complex) and math.isfinite(v)
-                   for v in (d, a_mag)):
+        if not (math.isfinite(d) and math.isfinite(a_mag)):
             continue
         divs.append(abs(d))
         scale = max(scale, a_mag)
     if len(divs) < samples:
         raise NoetherError("could not draw enough finite jet samples")
     max_div = max(divs)
-    passed = max_div < 1e-7 * (1.0 + scale)
-    res = NumericVerification(max_div, scale, passed, len(divs), divs)
-    if on_shell:
-        cur.max_divergence = max_div
-    return res
+    return NumericVerification(max_div, scale, max_div < 1e-7 * (1.0 + scale),
+                               len(divs), divs)

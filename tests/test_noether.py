@@ -7,10 +7,10 @@ import random
 import pytest
 import sympy as sp
 
-from poissonsym import catalog
+from poissonsym import catalog, noether
 from poissonsym.detsys import (NonlinearityClass, SymmetryGenerator,
                                poisson_equation)
-from poissonsym.exprcore import Verdict, is_zero, normalize
+from poissonsym.exprcore import SymbolTable, Verdict, is_zero, normalize
 from poissonsym.geom import MetricSpace, VectorField
 from poissonsym.noether import (SIGMA, Lagrangian, NoetherError, NoetherKind,
                                 build_current, euler_lagrange,
@@ -287,6 +287,69 @@ def test_mutated_current_fails_symbolic_check(flat):
         cur = build_current(lag, gen)
         cur.components[1] = -cur.components[1]
         assert not verify_current_symbolic(cur)
+
+
+def test_mutated_current_fails_numeric_check(flat):
+    """The complex-step check rejects the mutated currents of the symbolic
+    test above: flat, sphere3 S1 and sol So2."""
+    sphere3, sol = catalog.load("sphere3"), catalog.load("sol")
+    M = flat.space
+    for lag, gen in ((lagrangian(flat, "linear"),
+                      SymmetryGenerator(VectorField(M, [1, 0, 0]),
+                                        sp.Integer(0), sp.Integer(0))),
+                     (lagrangian(sphere3, "critical"),
+                      sphere3.generator("S1")),
+                     (lagrangian(sol, "arbitrary"), sol.generator("So2"))):
+        cur = build_current(lag, gen)
+        cur.components[1] = -cur.components[1]
+        assert not verify_current_numeric(cur).passed
+
+
+@pytest.mark.parametrize("geometry, field", [("euclidean", "R8"),
+                                             ("sphere3", "S1")])
+def test_field_current_checks_convert_no_component(monkeypatch, geometry,
+                                                    field):
+    """build_current records each field component as its Expr's element,
+    so neither the symbolic check nor the reference reconciliation converts
+    a component of a current to the field again."""
+    fix = catalog.load(geometry)
+    M = fix.space
+    lag = Lagrangian(M, NonlinearityClass.named("critical", M, None, None))
+    currents = [build_current(lag, fix.generator(field))]
+    converted = []
+    to_field = SymbolTable.to_field
+    monkeypatch.setattr(SymbolTable, "to_field",
+                        lambda self, e: converted.append(e) or to_field(self, e))
+    assert verify_current_symbolic(currents[0])
+    if geometry == "sphere3":
+        monkeypatch.setattr(catalog, "build_current", lambda *args: (
+            currents.append(build_current(*args)) or currents[-1]))
+        assert all(observed == ref.matches for ref, observed, _ in
+                   catalog.reconcile_reference_tables(fix))
+        assert len(currents) > 1
+    components = {e for cur in currents for e in cur.components}
+    assert not components & set(converted)
+
+
+def test_branch_cut_points_are_not_samples(flat, monkeypatch):
+    """F = ln u (power p = -1) puts ln u in the current, which is not real
+    for u < 0: such points are skipped, and the check still takes the
+    requested number of samples from the real ones."""
+    lag = lagrangian(flat, "power", p=-1)
+    M = flat.space
+    cur = build_current(lag, SymmetryGenerator(VectorField(M, [1, 0, 0]),
+                                               sp.Integer(0), sp.Integer(0)))
+    assert cur.components[0].has(sp.log)
+    logs = []                           # ln u at the unperturbed points
+    log = noether._CMATH["log"]
+    monkeypatch.setitem(noether._CMATH, "log",
+                        lambda z: logs.append(z) or log(z))
+    res = verify_current_numeric(cur, samples=100, seed=2024)
+    assert res.passed
+    assert res.samples == len(res.points) == 100
+    real = [z for z in logs if not isinstance(z, complex)]
+    assert any(z < 0 for z in real)
+    assert sum(1 for z in real if z > 0) == res.samples
 
 
 @pytest.mark.parametrize("geometry, cls_name, field", [
