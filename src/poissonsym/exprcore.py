@@ -4,9 +4,10 @@ Thin, contract-enforcing layer over sympy: a fixed input grammar, exact
 rational constants, a normal form for rational expressions with opaque
 transcendental kernels, numeric evaluation that refuses to return NaN/Inf,
 a sampling+canonicalization zero test, exact linear relations over QQ
-between tuples of expressions, and the rational function field of a chart
-with its derivations.  Everything upstream (tensor calculus, determining
-equations, Noether machinery) speaks this dialect.
+between tuples of expressions, and a chart's jet polynomials over its
+rational function field, with their derivations.  Everything upstream
+(tensor calculus, determining equations, Noether machinery) speaks this
+dialect.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 import sympy as sp
-from sympy.polys.fields import FracElement, FracField, sfield
+from sympy.polys.fields import sfield
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyElement, PolyRing
 
 Expr = sp.Expr
 
@@ -70,8 +72,9 @@ class SymbolTable:
     of these names, nor a grammar function name, and each must be one
     grammar identifier.
 
-    `field` is QQ(coords, u, jets, F_val, f_val, fprime_val), in which the
-    chart's rational jet expressions have an exact normal form.
+    `ring` is K[u_i, u_ij, F_val, f_val, fprime_val] over the rational
+    function field K = QQ(coords, u), in which the chart's rational jet
+    expressions have an exact normal form.
     """
 
     F = sp.Symbol("F_val", real=True)
@@ -141,59 +144,53 @@ class SymbolTable:
         fprime_val, i.e. a function of the coordinates."""
         return not (sp.sympify(e).free_symbols & self._jet_space)
 
-    # -- the rational function field -----------------------------------------
+    # -- the jet ring over the rational function field ---------------------
 
     @cached_property
-    def field(self) -> FracField:
-        """QQ(coords, u, jets, F_val, f_val, fprime_val), built on first
-        use."""
-        return FracField(self.coords + self.all_jets()
-                         + [self.F, self.f, self.fprime], sp.QQ)
+    def ring(self) -> PolyRing:
+        """K[u_i, u_ij, F_val, f_val, fprime_val] over K = QQ(coords, u),
+        written over ZZ, built on first use: jets enter every identity of
+        this package polynomially, so only K's coefficients are cancelled,
+        in n + 1 variables."""
+        K = sp.ZZ.frac_field(*self.coords, self.u)
+        return PolyRing(self.all_jets()[1:] + [self.F, self.f, self.fprime], K)
 
-    def to_field(self, e: Expr) -> FracElement | None:
-        """e as a field element, or None when e lies outside the field
-        (exp, trigonometric functions, non-integer powers, foreign
-        symbols)."""
+    def to_field(self, e: Expr) -> PolyElement | None:
+        """e as a ring element, or None when e lies outside the ring (exp,
+        trigonometric functions, non-integer powers, foreign symbols, a jet
+        or F_val, f_val, fprime_val in a denominator)."""
         try:
-            return self.field.from_expr(e)
+            return self.ring.from_expr(e)
         except (ValueError, ZeroDivisionError):
             return None
 
     @cached_property
-    def _polys(self) -> dict:
-        """symbol -> the field ring's generator"""
-        ring = self.field.ring
-        return dict(zip(ring.symbols, ring.gens))
+    def _gens(self) -> dict:
+        """symbol -> its generator: the ring's for a jet or a reserved
+        symbol, K's for a coordinate or u"""
+        ring, K = self.ring, self.ring.domain
+        return dict(zip(ring.symbols + K.symbols, ring.gens + K.field.gens))
 
-    def _derivation(self, p: FracElement, vector) -> FracElement:
-        """sum_s c_s dp/ds over [(s, c_s)] with polynomial c_s; d/du also
-        acts on F_val and f_val by the chain rule."""
-        K, g = self.field, self._polys
-        terms = []
-        for s, c in vector:
-            terms.append((g[s], c))
-            if s == self.u:
-                terms += [(g[a], c * g[b]) for a, b in self.CHAIN]
-        num, den = p.numer, p.denom
-        dnum = sum((c * num.diff(x) for x, c in terms), K.ring.zero)
-        dden = sum((c * den.diff(x) for x, c in terms), K.ring.zero)
-        if not dden:
-            return K.new(dnum, den)
-        return K.new(dnum * den - num * dden, den ** 2)
+    def field_diff(self, p: PolyElement, s: sp.Symbol) -> PolyElement:
+        """dp/ds: in the ring for a jet, else coefficientwise in K; d/du
+        also acts on F_val and f_val by the chain rule."""
+        g = self._gens
+        if isinstance(g[s], PolyElement):
+            return p.diff(g[s])
+        d = self.ring.from_dict({m: c.diff(g[s]) for m, c in p.items()})
+        if s == self.u:
+            d += sum(g[b] * p.diff(g[a]) for a, b in self.CHAIN)
+        return d
 
-    def field_diff(self, p: FracElement, s: sp.Symbol) -> FracElement:
-        """dp/ds in the field; d/du carries the chain rule."""
-        return self._derivation(p, [(s, self.field.ring.one)])
-
-    def field_total_derivative(self, p: FracElement, k: int) -> FracElement:
-        """D_k p = dp/dx^k + u_k dp/du + u_{ks} dp/du_s in the field, with
-        d/du carrying the chain rule."""
-        g = self._polys
-        vector = [(self.coords[k], self.field.ring.one),
-                  (self.u, g[self.jet1(k)])]
-        vector += [(self.jet1(s), g[self.jet2(k, s)])
-                   for s in range(len(self.coords))]
-        return self._derivation(p, vector)
+    def field_total_derivative(self, p: PolyElement, k: int) -> PolyElement:
+        """D_k p = dp/dx^k + u_k dp/du + u_{ks} dp/du_s, with d/du carrying
+        the chain rule."""
+        g = self._gens
+        out = self.field_diff(p, self.coords[k])
+        out += g[self.jet1(k)] * self.field_diff(p, self.u)
+        for s in range(len(self.coords)):
+            out += g[self.jet2(k, s)] * p.diff(g[self.jet1(s)])
+        return out
 
     def lookup(self, name: str) -> sp.Symbol:
         try:
@@ -585,31 +582,38 @@ def linear_relations(columns) -> list:
     """RREF basis over QQ of {c : sum_k c_k columns[k] == 0 identically}.
 
     Each column is a tuple of entries, all of one length.  Entries that are
-    all elements of one rational function field are split as they are;
-    expressions are first brought over independent kernels into one such
-    field.  Each row is cleared of denominators, reduced modulo the radical
-    relations and split by monomial and into real and imaginary parts, which
-    leaves a linear system over QQ.  Every relation returned holds; all are
-    found when the remaining kernels are algebraically independent.
+    all elements of one jet ring (`SymbolTable.ring`) are split as they are;
+    expressions are first brought over independent kernels into one
+    rational function field.  Each row is split by jet monomial, each
+    coefficient cleared of denominators, reduced modulo the radical
+    relations and split by monomial and into real and imaginary parts,
+    which leaves a linear system over QQ.  Every relation returned holds;
+    all are found when the remaining kernels are algebraically independent.
     """
     if not columns:
         return []
     width, height = len(columns), len(columns[0])
     flat = [e for col in columns for e in col]
-    if all(isinstance(e, FracElement) for e in flat):
-        elems, reductions, parts = flat, [], lambda c: (c,)
+    if all(isinstance(e, PolyElement) for e in flat):
+        elems, reductions, parts = flat, [], lambda c: (sp.QQ(c),)
     else:
         elems, reductions, parts = _field_elements(flat)
     equations = {}
     for r in range(height):
-        polys = _cleared([elems[k * height + r] for k in range(width)])
-        for i, L, b in reductions:
-            polys = _cleared([_reduce_radical(p, i, L, b) for p in polys])
-        for k, p in enumerate(polys):
-            for mono, c in p.terms():
-                for part, v in enumerate(parts(c)):
-                    if v:
-                        equations.setdefault((r, mono, part), {})[k] = v
+        # {jet monomial: coefficient}; an Expr-route element is one coefficient
+        terms = [e if isinstance(e, PolyElement) else {(): e}
+                 for e in elems[r::height]]
+        for jet in dict.fromkeys(itertools.chain(*terms)):
+            ks = [k for k in range(width) if jet in terms[k]]
+            polys = _cleared([terms[k][jet] for k in ks])
+            for i, L, b in reductions:
+                polys = _cleared([_reduce_radical(p, i, L, b) for p in polys])
+            for k, p in zip(ks, polys):
+                for mono, c in p.terms():
+                    for part, v in enumerate(parts(c)):
+                        if v:
+                            key = (r, jet, mono, part)
+                            equations.setdefault(key, {})[k] = v
     A = DomainMatrix(dict(enumerate(equations.values())),
                      (len(equations), width), sp.QQ)
     return A.nullspace().rref()[0].to_Matrix().tolist()

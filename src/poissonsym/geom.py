@@ -12,12 +12,13 @@ so that hyperbolic 3-space has R = -6.
 
 Identities on a chart are computed in one of two representations, chosen
 per call by `MetricSpace.representation` from whether the inputs convert:
-`FieldRep`, the rational function field of the symbol table, where an
-identity holds exactly when its difference is zero, and `ExprRep`, sympy
-expressions decided by the sampled zero test `is_zero`.  A formula written
-once against their common methods runs in either: each chart formula takes
-the representation R as its first argument, its inputs are elements of R
-and so is its result (`M.exprs` gives Exprs).
+`FieldRep`, the symbol table's polynomials in the jets over the rational
+function field QQ(coords, u), where an identity holds exactly when its
+difference is zero, and `ExprRep`, sympy expressions decided by the sampled
+zero test `is_zero`.  A formula written once against their common methods
+runs in either: each chart formula takes the representation R as its first
+argument, its inputs are elements of R and so is its result (`M.exprs`
+gives Exprs).
 """
 
 from __future__ import annotations
@@ -156,8 +157,7 @@ class MetricSpace:
 
     def representation(self, *exprs) -> "ExprRep | FieldRep":
         """The chart's field representation when sqrt g and every expression
-        given convert to the table's rational function field, else the Expr
-        one."""
+        given convert to the table's jet ring, else the Expr one."""
         rep = self._chart
         if rep is not self.exprs and all(
                 rep.converts(e) for e in (self.sqrt_det, *exprs)):
@@ -322,12 +322,13 @@ class ExprRep(_Rep):
 
 
 class FieldRep(_Rep):
-    """Chart expressions as elements of the symbol table's rational function
-    field; an identity holds exactly when its difference is zero."""
+    """Chart expressions as elements of the symbol table's jet ring over
+    QQ(coords, u); an identity holds exactly when its difference is zero."""
 
     def __init__(self, M: MetricSpace):
         super().__init__(M)
         self._elements = {}
+        self._printed = {}
         self._derivatives = {}
 
     def converts(self, e) -> bool:
@@ -336,19 +337,22 @@ class FieldRep(_Rep):
         return self._elements[e] is not None
 
     def of(self, e):
-        """e in the field; every value derived from converted inputs by the
+        """e in the ring; every value derived from converted inputs by the
         rational formulas of this package converts."""
         if not self.converts(e):
             raise InternalConsistencyError(
-                f"{e} lies outside the rational function field")
+                f"{e} lies outside the chart's jet ring")
         return self._elements[e]
 
     def expr(self, p, e: Expr | None = None) -> Expr:
         """p as e, an Expr of p built elsewhere, or else as the Expr normalize
         gives on the Expr route (the field leaves the sign of a denominator
-        open; cancel fixes it); recorded as the Expr's element."""
+        open; cancel fixes it), printed once per element; recorded as the
+        Expr's element."""
         if e is None:
-            e = normalize(p.as_expr()) if p else sp.Integer(0)
+            if p not in self._printed:
+                self._printed[p] = normalize(p.as_expr())
+            e = self._printed[p]
         self._elements[e] = p
         return e
 
@@ -375,8 +379,11 @@ class FieldRep(_Rep):
         return Verdict.NONZERO if e else Verdict.ZERO
 
     def inverse(self, A: list) -> list:
-        n, K = len(A), self.table.field
-        return DomainMatrix(A, (n, n), K.to_domain()).inv().to_list()
+        """A^{-1} for A over the coordinates, inverted in QQ(coords, u)."""
+        n, ring = len(A), self.table.ring
+        inv = DomainMatrix([[p.coeff(1) for p in row] for row in A], (n, n),
+                           ring.domain).inv()
+        return _map(ring.ground_new, inv.to_list())
 
 
 @dataclass

@@ -218,15 +218,21 @@ def test_solver_deterministic(flat):
     assert xi1 == xi2
 
 
-@pytest.mark.parametrize("geometry,dimension", [("euclidean", 10),
-                                                ("sphere3", 6)])
-def test_rational_solver_runs_in_the_field(monkeypatch, geometry, dimension):
+@pytest.mark.parametrize("geometry,name,p,dimension", [
+    *(pytest.param(g, "critical", None, d, id=f"{g}-{d}") for g, d in (
+        ("euclidean", 10), ("hyperbolic3", 6), ("sphere3", 6), ("s2xr", 4),
+        ("h2xr", 4), ("sl2tilde", 4), ("heisenberg", 4))),
+    # u^-3 lies in the coefficient field QQ(coords, u)
+    pytest.param("sphere3", "power", -3, 6, id="sphere3-power-3-6"),
+])
+def test_rational_solver_runs_in_the_field(monkeypatch, geometry, name, p,
+                                           dimension):
     """On a rational chart the columns are split as field elements and every
     residual, side condition and label is decided exactly: neither the Expr
     front end of linear_relations (sfield) nor the sampled zero test runs."""
     fix = catalog.load(geometry)
     M = fix.space
-    cls = NonlinearityClass.named("critical", M, None, None)
+    cls = NonlinearityClass.named(name, M, p, None)
 
     def refuse(*args, **kwargs):
         raise AssertionError("Expr route taken")

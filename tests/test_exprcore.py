@@ -13,6 +13,8 @@ from poissonsym.exprcore import (EvaluationError, ParseError, SymbolTable,
                                  is_zero, linear_relations, normalize, parse,
                                  to_grammar)
 
+from poissonsym.geom import FieldRep, MetricSpace
+
 from conftest import PROPERTY_SEED
 
 
@@ -130,7 +132,7 @@ class TestField:
     def test_rational_expressions_convert(self, table):
         x, z = table.lookup("x"), table.lookup("z")
         p = table.to_field(parse("(x^2 + u_x)/(1 + z^2)^3 - F_val", table))
-        assert p.numer.ring is table.field.ring
+        assert p.ring is table.ring
         assert table.field_diff(p, x) == table.to_field(
             2 * x / (1 + z**2)**3)
 
@@ -138,6 +140,27 @@ class TestField:
         for text in ("exp(x)", "sin(y)", "sqrt(1 + x^2)", "x^(1/3)", "ln(z)"):
             assert table.to_field(parse(text, table)) is None
         assert table.to_field(sp.Symbol("k") * table.lookup("x")) is None
+
+    def test_exact_on_generated_expressions(self, property_expressions):
+        """Each generated expression the ring takes prints back to its own
+        normal form, and its ring derivative in each coordinate and in u is
+        sympy's derivative of the expression."""
+        table, exprs = property_expressions
+        R = FieldRep(MetricSpace(["x", "y", "z"], sp.eye(3).tolist()))
+        converted = [(e, table.to_field(e)) for e in exprs]
+        converted = [(e, p) for e, p in converted if p is not None]
+        assert len(converted) >= 300
+        for e, p in converted:
+            assert R.expr(p) == normalize(e)
+            for s in (*table.coords, table.u):
+                assert table.field_diff(p, s) == table.to_field(sp.diff(e, s))
+
+    def test_jet_in_a_denominator_is_none(self, table):
+        """Jets and F_val, f_val, fprime_val are ring generators, so they
+        may not divide; coordinates and u may."""
+        for text in ("1/u_x", "x/(1 + u_xy^2)", "u_z/F_val"):
+            assert table.to_field(parse(text, table)) is None
+        assert table.to_field(parse("u_x/(u^3*(1 + x^2))", table)) is not None
 
 
 # ---------------------------------------------------------------------------
