@@ -13,10 +13,10 @@ place of the curvature term; the two agree for conformal xi because
 Delta_g mu = -(1/(n-1))(xi^i R_,i + mu R).
 
 The system is built once, in the chart's representation (`geom`): exact
-in the jet polynomials over QQ(coords, u) when the inputs convert, sampled
-Exprs otherwise.  `solve_linear_ansatz` reduces it to exact linear
-algebra over a finite function basis: the residuals are linear in the
-ansatz coefficients, so splitting them by monomial
+in the chart's jet fractions (`exprcore.JetFraction`) when the inputs
+convert, sampled Exprs otherwise.  `solve_linear_ansatz` reduces it to
+exact linear algebra over a finite function basis: the residuals are
+linear in the ansatz coefficients, so splitting them by monomial
 (`exprcore.linear_relations`) gives a linear system over QQ whose
 nullspace spans the candidate generators; candidates are then
 re-verified.

@@ -4,8 +4,9 @@ Thin, contract-enforcing layer over sympy: a fixed input grammar, exact
 rational constants, a normal form for rational expressions with opaque
 transcendental kernels, numeric evaluation that refuses to return NaN/Inf,
 a sampling+canonicalization zero test, exact linear relations over QQ
-between tuples of expressions, and a chart's jet polynomials over its
-rational function field, with their derivations.  Everything upstream
+between tuples of expressions, and a chart's jet fractions, jet
+polynomials over powers of the chart's own irreducible denominators, with
+their derivations.  Everything upstream
 (tensor calculus, determining equations, Noether machinery) speaks this
 dialect.
 """
@@ -21,6 +22,7 @@ from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 import sympy as sp
+from sympy.core.sympify import CantSympify
 from sympy.polys.fields import sfield
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyElement, PolyRing
@@ -72,9 +74,9 @@ class SymbolTable:
     of these names, nor a grammar function name, and each must be one
     grammar identifier.
 
-    `ring` is K[u_i, u_ij, F_val, f_val, fprime_val] over the rational
-    function field K = QQ(coords, u), in which the chart's rational jet
-    expressions have an exact normal form.
+    The chart's rational jet expressions have an exact normal form as
+    `JetFraction`s: numerators in `ring` over an integer times powers of
+    the table's factor base, the irreducible denominators met so far.
     """
 
     F = sp.Symbol("F_val", real=True)
@@ -123,6 +125,10 @@ class SymbolTable:
         self._by_name = {name: s for name, s, _ in named}
         self._jet_space = {self.u, self.F, self.f, self.fprime,
                            *self.first_jets, *self.second_jets.values()}
+        # the factor base as (element of ring, element of _base_ring), its
+        # index, the factored jet-free numerators and the constants met
+        self._base, self._base_index = [], {}
+        self._factored, self._constants = {}, {}
 
     @classmethod
     def diff_u(cls, e: Expr, u: sp.Symbol) -> Expr:
@@ -144,53 +150,158 @@ class SymbolTable:
         fprime_val, i.e. a function of the coordinates."""
         return not (sp.sympify(e).free_symbols & self._jet_space)
 
-    # -- the jet ring over the rational function field ---------------------
+    # -- jet fractions over the chart's factor base --------------------------
 
     @cached_property
     def ring(self) -> PolyRing:
-        """K[u_i, u_ij, F_val, f_val, fprime_val] over K = QQ(coords, u),
-        written over ZZ, built on first use: jets enter every identity of
-        this package polynomially, so only K's coefficients are cancelled,
-        in n + 1 variables."""
-        K = sp.ZZ.frac_field(*self.coords, self.u)
-        return PolyRing(self.all_jets()[1:] + [self.F, self.f, self.fprime], K)
+        """ZZ[coords, u, jets, F_val, f_val, fprime_val]: the numerators"""
+        return PolyRing(self.coords + self.all_jets()
+                        + [self.F, self.f, self.fprime], sp.ZZ)
 
-    def to_field(self, e: Expr) -> PolyElement | None:
-        """e as a ring element, or None when e lies outside the ring (exp,
-        trigonometric functions, non-integer powers, foreign symbols, a jet
-        or F_val, f_val, fprime_val in a denominator)."""
+    #: ZZ[coords, u], in which the factor base is factored and divides
+    _base_ring = cached_property(
+        lambda self: PolyRing(self.coords + [self.u], sp.ZZ))
+    _gens = cached_property(
+        lambda self: dict(zip(self.ring.symbols, self.ring.gens)))
+
+    def to_field(self, e: Expr) -> JetFraction | None:
+        """e as a jet fraction, or None when it is none (exp, trigonometric
+        functions, non-integer powers, foreign symbols, a jet or F_val,
+        f_val, fprime_val in a denominator)."""
         try:
-            return self.ring.from_expr(e)
+            return self._convert(sp.sympify(e))
         except (ValueError, ZeroDivisionError):
             return None
 
-    @cached_property
-    def _gens(self) -> dict:
-        """symbol -> its generator: the ring's for a jet or a reserved
-        symbol, K's for a coordinate or u"""
-        ring, K = self.ring, self.ring.domain
-        return dict(zip(ring.symbols + K.symbols, ring.gens + K.field.gens))
+    def _convert(self, e: Expr) -> JetFraction:
+        if e.is_Rational:
+            return self.constant(e)
+        if e.is_Symbol and e in self._gens:
+            return JetFraction(self, self._gens[e])
+        if e.is_Add:    # terms over one denominator add as numerators
+            groups = {}
+            for t in map(self._convert, e.args):
+                groups.setdefault((t.c, t.exps), []).append(t)
+            return sum(ts[0] if len(ts) == 1 else self._reduced(
+                sum(t.numer for t in ts), c, exps, range(len(exps)))
+                for (c, exps), ts in groups.items())
+        if e.is_Mul:
+            return math.prod(map(self._convert, e.args))
+        if e.is_Pow and e.exp.is_Integer:
+            return self._convert(e.base) ** int(e.exp)
+        raise ValueError(f"{e} is no fraction of jet polynomials")
 
-    def field_diff(self, p: PolyElement, s: sp.Symbol) -> PolyElement:
-        """dp/ds: in the ring for a jet, else coefficientwise in K; d/du
-        also acts on F_val and f_val by the chain rule."""
+    def constant(self, r) -> JetFraction:
+        if r not in self._constants:
+            q = sp.Rational(r)
+            self._constants[r] = JetFraction(
+                self, self.ring.ground_new(q.p), int(q.q))
+        return self._constants[r]
+
+    def field_diff(self, p: JetFraction, s: sp.Symbol) -> JetFraction:
+        """dp/ds; d/du also acts on F_val and f_val by the chain rule."""
+        return self._derive(p, self._du if s == self.u
+                            else lambda P: P.diff(self._gens[s]))
+
+    def _du(self, P: PolyElement) -> PolyElement:
         g = self._gens
-        if isinstance(g[s], PolyElement):
-            return p.diff(g[s])
-        d = self.ring.from_dict({m: c.diff(g[s]) for m, c in p.items()})
-        if s == self.u:
-            d += sum(g[b] * p.diff(g[a]) for a, b in self.CHAIN)
-        return d
+        return P.diff(g[self.u]) + sum(g[b] * P.diff(g[a])
+                                       for a, b in self.CHAIN)
 
-    def field_total_derivative(self, p: PolyElement, k: int) -> PolyElement:
+    def field_total_derivative(self, p: JetFraction, k: int) -> JetFraction:
         """D_k p = dp/dx^k + u_k dp/du + u_{ks} dp/du_s, with d/du carrying
         the chain rule."""
-        g = self._gens
-        out = self.field_diff(p, self.coords[k])
-        out += g[self.jet1(k)] * self.field_diff(p, self.u)
-        for s in range(len(self.coords)):
-            out += g[self.jet2(k, s)] * p.diff(g[self.jet1(s)])
-        return out
+        g, x, uk = self._gens, self.coords[k], self.jet1(k)
+        return self._derive(p, lambda P: P.diff(g[x]) + g[uk] * self._du(P)
+                            + sum(g[self.jet2(k, s)] * P.diff(g[self.jet1(s)])
+                                  for s in range(len(self.coords))))
+
+    def _derive(self, p: JetFraction, delta) -> JetFraction:
+        """delta p for a derivation delta of `ring`: the numerator delta P
+        prod d_j - P sum_j e_j delta(d_j) prod_{i != j} d_i over
+        d_j^(e_j + 1), j ranging over the factors delta moves.  Such a d_j
+        divides neither P, the other d_i nor delta d_j, so only the factors
+        delta annihilates are trial-divided."""
+        N, P, exps, still = delta(p.numer), p.numer, list(p.exps), []
+        for j, e in enumerate(p.exps):
+            d = self._base[j][0]
+            dd = delta(d) if e else None
+            if dd:
+                N, P, exps[j] = N * d - P.mul_ground(e) * dd, P * d, e + 1
+            elif e:
+                still.append(j)
+        return self._reduced(N, p.c, exps, still)
+
+    def _reduced(self, N: PolyElement, c: int, exps, strip) -> JetFraction:
+        """N / (c prod d_j^exps[j]) in canonical form, when of the d_j only
+        those in strip may divide N."""
+        if not N:
+            return JetFraction(self, N)
+        exps = list(exps)
+        for j in strip:
+            N, exps[j] = self._strip(N, j, exps[j])
+        g = math.gcd(c, *N.values())
+        while exps and not exps[-1]:
+            exps.pop()
+        return JetFraction(self, N.quo_ground(g), c // g, tuple(exps))
+
+    def _strip(self, N: PolyElement, j: int, e: int) -> tuple:
+        """(N / d_j^k, e - k) for the largest k <= e with d_j^k | N: d_j
+        divides N when it divides each coefficient of a jet monomial."""
+        m, d = len(self.coords) + 1, self._base[j][1]
+        for e in range(e, 0, -1):
+            if N.is_ground:
+                return N, e
+            groups, quotient = {}, {}
+            for mono, v in N.items():
+                groups.setdefault(mono[m:], {})[mono[:m]] = v
+            for jet, terms in groups.items():
+                q, r = self._base_ring.dtype(terms).div(d)
+                if r:
+                    return N, e
+                quotient.update((mono + jet, v) for mono, v in q.items())
+            N = N.new(quotient)
+        return N, 0
+
+    def _common(self, fracs) -> tuple:
+        """(numerators, c, exps) of fracs over their least common
+        denominator c prod d_j^exps[j]"""
+        exps = [max(e) for e in itertools.zip_longest(
+            *(p.exps for p in fracs), fillvalue=0)]
+        c, nums = reduce(math.lcm, (p.c for p in fracs)), []
+        for p in fracs:
+            N = p.numer if c == p.c else p.numer.mul_ground(c // p.c)
+            for j, (e, have) in enumerate(itertools.zip_longest(
+                    exps, p.exps, fillvalue=0)):
+                if e > have:
+                    N = N * self._base[j][0] ** (e - have)
+            nums.append(N)
+        return nums, c, exps
+
+    def _inverse(self, p: JetFraction) -> JetFraction:
+        """1/p for p free of jets and F_val, f_val, fprime_val; each new
+        irreducible factor of its numerator joins the factor base."""
+        m = len(self.coords) + 1
+        if not p:
+            raise ZeroDivisionError("division by zero in the chart's ring")
+        if any(any(mono[m:]) for mono in p.numer):
+            raise ValueError("a jet or F_val, f_val, fprime_val divides")
+        P = self._base_ring.dtype({mono[:m]: v for mono, v in p.numer.items()})
+        if P not in self._factored:
+            (unit, factors), exps = P.factor_list(), {}
+            for d, e in factors:
+                if d.LC < 0:
+                    d, unit = -d, unit * (-1) ** e
+                if d not in self._base_index:
+                    self._base_index[d] = len(self._base)
+                    self._base.append((d.set_ring(self.ring), d))
+                exps[self._base_index[d]] = e
+            self._factored[P] = int(unit), tuple(
+                exps.get(j, 0) for j in range(max(exps, default=-1) + 1))
+        unit, exps = self._factored[P]
+        return JetFraction(self, self.ring.ground_new(p.c if unit > 0 else -p.c)
+                           * math.prod(self._base[j][0] ** e for j, e
+                                       in enumerate(p.exps) if e), abs(unit), exps)
 
     def lookup(self, name: str) -> sp.Symbol:
         try:
@@ -206,6 +317,92 @@ class SymbolTable:
 
     def all_jets(self) -> list[sp.Symbol]:
         return [self.u] + list(self.first_jets) + list(self.second_jets.values())
+
+
+class JetFraction(CantSympify):
+    """P / (c prod_j d_j^e_j): P in the table's `ring`, c > 0 an integer
+    and the d_j its factor base, irreducible primitive polynomials in
+    (coords, u) with positive leading coefficient, which only grows.  The
+    form is canonical (d_j does not divide P when e_j > 0, gcd(content P,
+    c) = 1, exps ends in no zero), so == and hash are structural, and no
+    arithmetic takes a gcd, only trial divisions by the factors that may
+    cancel (Henrici): `*` strips d_j from the operand whose e_j is 0, `+`
+    those whose exponents were equal.  A divisor must be free of jets."""
+
+    __slots__ = ("table", "numer", "c", "exps", "_hash")
+
+    def __init__(self, table: SymbolTable, numer: PolyElement, c: int = 1,
+                 exps: tuple = ()):
+        self.table, self.numer, self.c, self.exps = table, numer, c, exps
+        self._hash = None
+
+    def _lift(self, other) -> JetFraction:
+        return other if isinstance(other, JetFraction) \
+            else self.table.constant(other)
+
+    def __hash__(self):
+        # of the terms: PolyElement.square caches a hash mid-construction
+        if self._hash is None:
+            self._hash = hash((frozenset(self.numer.items()), self.c,
+                               self.exps))
+        return self._hash
+
+    def __eq__(self, other):
+        return (isinstance(other, JetFraction) and self.c == other.c
+                and self.exps == other.exps and self.numer == other.numer)
+
+    def __bool__(self):
+        return bool(self.numer)
+
+    def __neg__(self):
+        return JetFraction(self.table, -self.numer, self.c, self.exps)
+
+    def __add__(self, other):
+        q, T = self._lift(other), self.table
+        if not (self and q):
+            return self if self else q
+        (P, Q), c, exps = T._common([self, q])
+        return T._reduced(P + Q, c, exps, [
+            j for j, (a, b) in enumerate(itertools.zip_longest(
+                self.exps, q.exps, fillvalue=0)) if a and a == b])
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        q, T = self._lift(other), self.table
+        if not (self and q):
+            return T.constant(0)
+        P, Q, exps = self.numer, q.numer, []
+        for j, (a, b) in enumerate(itertools.zip_longest(
+                self.exps, q.exps, fillvalue=0)):
+            if a and not b:
+                Q, a = T._strip(Q, j, a)
+            elif b and not a:
+                P, b = T._strip(P, j, b)
+            exps.append(a + b)
+        g, h = math.gcd(q.c, *P.values()), math.gcd(self.c, *Q.values())
+        return T._reduced(P.quo_ground(g) * Q.quo_ground(h),
+                          (self.c // h) * (q.c // g), exps, ())
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.table._inverse(self) ** -k
+        return JetFraction(self.table, self.numer ** k, self.c ** k, tuple(
+            e * k for e in self.exps) if k else ())
+
+    def __truediv__(self, other):
+        return self * self._lift(other) ** -1
+
+    def as_expr(self) -> Expr:
+        base = self.table._base
+        return self.numer.as_expr() / sp.Mul(self.c, *[
+            base[j][0].as_expr() ** e for j, e in enumerate(self.exps) if e])
 
 
 # ---------------------------------------------------------------------------
@@ -582,38 +779,38 @@ def linear_relations(columns) -> list:
     """RREF basis over QQ of {c : sum_k c_k columns[k] == 0 identically}.
 
     Each column is a tuple of entries, all of one length.  Entries that are
-    all elements of one jet ring (`SymbolTable.ring`) are split as they are;
-    expressions are first brought over independent kernels into one
-    rational function field.  Each row is split by jet monomial, each
-    coefficient cleared of denominators, reduced modulo the radical
-    relations and split by monomial and into real and imaginary parts,
-    which leaves a linear system over QQ.  Every relation returned holds;
-    all are found when the remaining kernels are algebraically independent.
+    all jet fractions (`JetFraction`) are brought over each row's least
+    common denominator; expressions are first brought over independent
+    kernels into one rational function field, cleared of denominators and
+    reduced modulo the radical relations.  Either way each row becomes one
+    polynomial per column, split by monomial and into real and imaginary
+    parts, which leaves a linear system over QQ.  Every relation returned
+    holds; all are found when the remaining kernels are algebraically
+    independent.
     """
     if not columns:
         return []
     width, height = len(columns), len(columns[0])
     flat = [e for col in columns for e in col]
-    if all(isinstance(e, PolyElement) for e in flat):
-        elems, reductions, parts = flat, [], lambda c: (sp.QQ(c),)
+    if all(isinstance(e, JetFraction) for e in flat):
+        rows = [flat[0].table._common(flat[r::height])[0]
+                for r in range(height)]
+        parts = lambda c: (sp.QQ(c),)
     else:
         elems, reductions, parts = _field_elements(flat)
-    equations = {}
-    for r in range(height):
-        # {jet monomial: coefficient}; an Expr-route element is one coefficient
-        terms = [e if isinstance(e, PolyElement) else {(): e}
-                 for e in elems[r::height]]
-        for jet in dict.fromkeys(itertools.chain(*terms)):
-            ks = [k for k in range(width) if jet in terms[k]]
-            polys = _cleared([terms[k][jet] for k in ks])
+        rows = []
+        for r in range(height):
+            polys = _cleared(elems[r::height])
             for i, L, b in reductions:
                 polys = _cleared([_reduce_radical(p, i, L, b) for p in polys])
-            for k, p in zip(ks, polys):
-                for mono, c in p.terms():
-                    for part, v in enumerate(parts(c)):
-                        if v:
-                            key = (r, jet, mono, part)
-                            equations.setdefault(key, {})[k] = v
+            rows.append(polys)
+    equations = {}
+    for r, polys in enumerate(rows):
+        for k, p in enumerate(polys):
+            for mono, c in p.terms():
+                for part, v in enumerate(parts(c)):
+                    if v:
+                        equations.setdefault((r, mono, part), {})[k] = v
     A = DomainMatrix(dict(enumerate(equations.values())),
                      (len(equations), width), sp.QQ)
     return A.nullspace().rref()[0].to_Matrix().tolist()

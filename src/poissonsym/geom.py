@@ -12,9 +12,9 @@ so that hyperbolic 3-space has R = -6.
 
 Identities on a chart are computed in one of two representations, chosen
 per call by `MetricSpace.representation` from whether the inputs convert:
-`FieldRep`, the symbol table's polynomials in the jets over the rational
-function field QQ(coords, u), where an identity holds exactly when its
-difference is zero, and `ExprRep`, sympy expressions decided by the sampled
+`FieldRep`, the symbol table's jet fractions (`exprcore.JetFraction`),
+jet polynomials over powers of the chart's irreducible denominators, where
+an identity holds exactly when its difference is zero, and `ExprRep`, sympy expressions decided by the sampled
 zero test `is_zero`.  A formula written once against their common methods
 runs in either: each chart formula takes the representation R as its first
 argument, its inputs are elements of R and so is its result (`M.exprs`
@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import sympy as sp
-from sympy.polys.matrices import DomainMatrix
 
 from .exprcore import (
     Expr,
@@ -322,8 +321,8 @@ class ExprRep(_Rep):
 
 
 class FieldRep(_Rep):
-    """Chart expressions as elements of the symbol table's jet ring over
-    QQ(coords, u); an identity holds exactly when its difference is zero."""
+    """Chart expressions as the symbol table's jet fractions; an identity
+    holds exactly when its difference is zero."""
 
     def __init__(self, M: MetricSpace):
         super().__init__(M)
@@ -346,9 +345,9 @@ class FieldRep(_Rep):
 
     def expr(self, p, e: Expr | None = None) -> Expr:
         """p as e, an Expr of p built elsewhere, or else as the Expr normalize
-        gives on the Expr route (the field leaves the sign of a denominator
-        open; cancel fixes it), printed once per element; recorded as the
-        Expr's element."""
+        gives on the Expr route (p's denominator is factored, cancel's is
+        expanded), printed once per element; recorded as the Expr's
+        element."""
         if e is None:
             if p not in self._printed:
                 self._printed[p] = normalize(p.as_expr())
@@ -379,11 +378,20 @@ class FieldRep(_Rep):
         return Verdict.NONZERO if e else Verdict.ZERO
 
     def inverse(self, A: list) -> list:
-        """A^{-1} for A over the coordinates, inverted in QQ(coords, u)."""
-        n, ring = len(A), self.table.ring
-        inv = DomainMatrix([[p.coeff(1) for p in row] for row in A], (n, n),
-                           ring.domain).inv()
-        return _map(ring.ground_new, inv.to_list())
+        """A^{-1} = adj A / det A for A over the coordinates: cofactors by
+        Laplace expansion of remembered minors; det A is inverted once."""
+        n = len(A)
+        @cache
+        def minor(rows, cols):
+            return sum((-1) ** k * A[rows[0]][c] * minor(
+                rows[1:], cols[:k] + cols[k + 1:])
+                for k, c in enumerate(cols) if A[rows[0]][c]) if rows else 1
+
+        rest = [tuple(range(i)) + tuple(range(i + 1, n)) for i in range(n)]
+        cof = [[(-1) ** (i + j) * minor(rest[i], rest[j]) for j in range(n)]
+               for i in range(n)]
+        inv_det = sum(A[0][j] * cof[0][j] for j in range(n)) ** -1
+        return [[cof[j][i] * inv_det for j in range(n)] for i in range(n)]
 
 
 @dataclass
@@ -548,58 +556,3 @@ def lie_bracket(xi: VectorField, eta: VectorField) -> VectorField:
         R.expr(R.normal(sum(X[j] * R.diff(Y[i], c[j])
                             - Y[j] * R.diff(X[i], c[j]) for j in range(M.n))))
         for i in range(M.n)])
-
-
-def vector_laplacian(M: MetricSpace, xi: VectorField) -> list:
-    """Delta_g xi^i = g^{jk} nabla_j nabla_k xi^i as Exprs, computed in the
-    representation of xi; nabla_j T^i_k, for T = nabla xi, is the covariant
-    derivative of the vector T^i_k (fixed k) less Gamma^l_jk T^i_l."""
-    R = M.representation(*xi.components)
-    n, gam, gi = M.n, R.christoffel, R.g_inv
-    T = [[R.normal(e) for e in row]
-         for row in covariant_derivative(R, [R.of(e) for e in xi.components])]
-    DT = [covariant_derivative(R, [row[k] for row in T]) for k in range(n)]
-    return [R.expr(R.normal(sum(
-        gi[j][k] * (DT[k][i][j] - sum(gam[l][j][k] * T[i][l]
-                                      for l in range(n)))
-        for j in range(n) for k in range(n)))) for i in range(n)]
-
-
-@dataclass
-class ConformalIdentityReport:
-    vector_identity_ok: bool      # Delta xi^i + R^i_j xi^j = ((2-n)/2) g^{ij} mu_j
-    factor_identity_ok: bool      # Delta mu = -(1/(n-1)) (xi^i R_,i + mu R)
-    failures: list = field(default_factory=list)
-
-
-def conformal_identity_checks(M: MetricSpace, xi: VectorField,
-                              mu: Expr) -> ConformalIdentityReport:
-    """Consistency identities satisfied by every conformal Killing field,
-    decided in the representation of xi and mu."""
-    R = M.representation(*xi.components, mu)
-    n, c = M.n, M.coords
-    X, mu = [R.of(e) for e in xi.components], R.of(mu)
-    lap = [R.of(e) for e in vector_laplacian(M, xi)]
-    grad_mu = gradient(R, mu)
-    failures = [
-        f"vector identity fails in component {i}" for i in range(n)
-        if R.zero(lap[i] + sum(R.ricci[i][j] * X[j] for j in range(n))
-                  - sp.Rational(2 - n, 2) * grad_mu[i]) is not Verdict.ZERO]
-    vec_ok = not failures
-    scal = R.scalar_curvature
-    fac_ok = R.zero(laplace_beltrami(R, mu) + sp.Rational(1, n - 1) * (
-        sum(X[i] * R.diff(scal, c[i]) for i in range(n)) + mu * scal)
-    ) is Verdict.ZERO
-    if not fac_ok:
-        failures.append("conformal factor Laplacian identity fails")
-    return ConformalIdentityReport(vec_ok, fac_ok, failures)
-
-
-def divergence_formula_residuals(M: MetricSpace) -> list:
-    """(sqrt g g^{ik})_,k + g^{pq} Gamma^i_pq sqrt g, per i (all should
-    vanish), as Exprs computed in the chart's representation."""
-    R = M.representation()
-    n, c, sg, gi = M.n, M.coords, R.sqrt_det, R.g_inv
-    return [R.expr(R.normal(sum(R.diff(sg * gi[i][k], c[k]) for k in range(n))
-                            + R.gamma_contracted[i] * sg))
-            for i in range(n)]

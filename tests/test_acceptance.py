@@ -15,13 +15,13 @@ from poissonsym.detsys import (AnsatzBasis, NonlinearityClass,
                                SymmetryGenerator, classify,
                                determining_residuals)
 from poissonsym.exprcore import Verdict, diff, eval_num, is_zero, normalize
-from poissonsym.geom import (VectorField, conformal_factor,
-                             conformal_identity_checks,
-                             divergence_formula_residuals)
+from poissonsym.geom import VectorField, conformal_factor
 from poissonsym.noether import (Lagrangian, NoetherKind, build_current,
                                 euler_lagrange, noether_classify,
                                 verify_current_numeric)
 
+from chart_identities import (conformal_identity_checks,
+                              divergence_formula_residuals)
 from conftest import PROPERTY_SEED
 from test_exprcore import _try_eval, finite_difference_agrees
 

@@ -132,7 +132,11 @@ class TestField:
     def test_rational_expressions_convert(self, table):
         x, z = table.lookup("x"), table.lookup("z")
         p = table.to_field(parse("(x^2 + u_x)/(1 + z^2)^3 - F_val", table))
-        assert p.ring is table.ring
+        assert p.numer.ring is table.ring and p.c == 1
+        assert [table._base[j][0].as_expr() for j in range(len(p.exps))] \
+            == [1 + z**2] and p.exps == (3,)
+        assert p.numer.as_expr() == sp.expand(
+            x**2 + table.jet1(0) - table.F * (1 + z**2)**3)
         assert table.field_diff(p, x) == table.to_field(
             2 * x / (1 + z**2)**3)
 
@@ -154,6 +158,54 @@ class TestField:
             assert R.expr(p) == normalize(e)
             for s in (*table.coords, table.u):
                 assert table.field_diff(p, s) == table.to_field(sp.diff(e, s))
+
+    def test_canonical_on_generated_expressions(self, property_expressions):
+        """An expression and its normal form convert to one fraction, equal
+        and of equal hash, so == and the representation's memos are
+        structural."""
+        table, exprs = property_expressions
+        for e in exprs:
+            p = table.to_field(e)
+            if p is not None:
+                q = table.to_field(normalize(e))
+                assert p == q and hash(p) == hash(q)
+
+    def test_cancelled_denominator_leaves_no_exponent(self):
+        table = SymbolTable(["x", "y", "z"])
+        x, y, z = table.coords
+        d = table.to_field(1 + x**2 + y**2 + z**2)
+        one = d**2 / d**3 * d
+        assert one == table.to_field(sp.Integer(1)) and one.exps == ()
+        q = sp.Add(1, x**2, y**2, z**2, evaluate=False)
+        e = sp.Mul(q**2, sp.Pow(q**3, -1, evaluate=False), q, evaluate=False)
+        assert table.to_field(e).exps == ()
+
+    def test_division_extends_the_factor_base_once(self):
+        """Dividing by a jet-free fraction factors its numerator; a new
+        irreducible factor joins the base once.  The dense rational metric
+        brings x and the factors of x^2 det g."""
+        M = MetricSpace(["x", "y", "z"], [
+            ["3", "1/x", "-1"], ["1/x", "2+x^2", "-1"],
+            ["-1", "-1", "2+y^2"]], box={"x": (1.0, 2.0)})
+        T, R = M.table, M._chart
+        base = lambda: [d for d, _ in T._base]   # noqa: E731
+        assert [d.as_expr() for d in base()] == [M.coords[0]]
+        gi = R.g_inv
+        grown = base()
+        assert len(grown) > 1 and len(set(grown)) == len(grown)
+        assert R.inverse(R.g) == gi and base() == grown
+        n = M.n
+        assert [[sum(R.g[i][k] * gi[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)] \
+            == [[T.constant(int(i == j)) for j in range(n)] for i in range(n)]
+        # g^00's numerator is x^2 times a new irreducible factor
+        ux = T.to_field(T.jet1(0))
+        q = ux / gi[0][0]
+        assert len(base()) == len(grown) + 1 and base()[:-1] == grown
+        assert q * gi[0][0] == ux and ux / gi[0][0] == q
+        assert len(base()) == len(grown) + 1
+        with pytest.raises(ValueError):
+            gi[0][0] / ux
 
     def test_jet_in_a_denominator_is_none(self, table):
         """Jets and F_val, f_val, fprime_val are ring generators, so they

@@ -6,16 +6,21 @@ import random
 
 import pytest
 import sympy as sp
+import sympy.polys.euclidtools
+import sympy.polys.rings
 
 from poissonsym import catalog
-from poissonsym.detsys import NonlinearityClass, poisson_equation
+from poissonsym.detsys import (NonlinearityClass, _determining_equations,
+                               poisson_equation)
 from poissonsym.exprcore import Verdict, eval_num, is_zero, normalize
 from poissonsym.geom import (FieldRep, GeometryError,
                              InternalConsistencyError, MetricSpace,
                              VectorField, ConformalVerdict, conformal_check,
-                             conformal_identity_checks, divergence,
-                             divergence_formula_residuals, laplace_beltrami,
-                             lie_bracket, lie_derivative_metric)
+                             divergence, laplace_beltrami, lie_bracket,
+                             lie_derivative_metric)
+
+from chart_identities import (conformal_identity_checks,
+                              divergence_formula_residuals)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +193,35 @@ def test_divergence_cross_check_raises(route, what, monkeypatch):
         divergence(R, [R.of(e) for e in (x, y, z)])
     with pytest.raises(InternalConsistencyError):
         poisson_equation(M, cls)
+
+
+def test_chart_arithmetic_takes_no_gcd(monkeypatch):
+    """Once sphere3's g, g^-1 and sqrt g exist, deriving Gamma, Riemann, R
+    and the S1-S3 columns of a unit takes no polynomial gcd: every
+    denominator stays a power of (1 + r^2), and only trial division
+    cancels it."""
+    S = catalog.load("sphere3").space
+    M = MetricSpace([str(c) for c in S.coords], S.g.tolist(), box=S.box)
+    R = M._chart
+    assert isinstance(R, FieldRep) and R.g_inv and R.sqrt_det
+
+    def forbidden(*args):
+        raise AssertionError("polynomial gcd in chart arithmetic")
+    monkeypatch.setattr(sympy.polys.rings, "heugcd", forbidden)
+    for name in ("dup_zz_heu_gcd", "dmp_zz_heu_gcd"):
+        monkeypatch.setattr(sympy.polys.euclidtools, name, forbidden)
+    assert R.riemann and R.scalar_curvature
+    cls = NonlinearityClass.named("critical", M, None, None)
+    assert cls.representation(M, M.coords[0]) is R
+    zero, x = R.of(sp.Integer(0)), R.of(M.coords[0])
+    for slot in range(M.n + 1):
+        parts = [zero] * (M.n + 2)
+        parts[slot] = x
+        mu, res1, res2, res3, _ = _determining_equations(
+            R, parts[:M.n], parts[M.n], parts[M.n + 1], cls)
+        assert all(len(p.exps) <= 1 for p in (mu, *res1[0], *res2, res3))
+    assert [d.as_expr() for d, _ in M.table._base] == [
+        1 + sum(c**2 for c in M.coords)]
 
 
 def test_rational_metric_tensors_in_the_field():
