@@ -1,6 +1,6 @@
 """Tensor calculus on a coordinate chart.
 
-MetricSpace owns the metric g and its volume factor sqrt g; the inverse,
+MetricSpace owns the metric g, its only input; det g, the inverse,
 Christoffel symbols and curvature are derived once, lazily, in the chart's
 representation (`_Rep`) and exposed as Exprs.  Sign conventions:
 
@@ -18,7 +18,7 @@ an identity holds exactly when its difference is zero, and `ExprRep`, sympy expr
 zero test `is_zero`.  A formula written once against their common methods
 runs in either: each chart formula takes the representation R as its first
 argument, its inputs are elements of R and so is its result (`M.exprs`
-gives Exprs).
+gives Exprs).  An identity involving sqrt g names it among its inputs.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ class MetricSpace:
     # -- tensors ---------------------------------------------------------------
 
     @cached_property
-    def det_g(self) -> Expr:
-        return normalize(self.g.det())
-
-    @cached_property
     def _positivity(self):
         """Coordinates whose safe box is strictly positive, as positive symbols.
 
@@ -132,6 +128,7 @@ class MetricSpace:
 
     # the derived tensors, computed once in the chart's representation and
     # printed as Exprs (`_Rep`)
+    det_g = cached_property(lambda self: self.exprs.det_g)
     g_inv = cached_property(lambda self: sp.Matrix(self.exprs.g_inv))
     christoffel = cached_property(lambda self: self.exprs.christoffel)
     gamma_contracted = cached_property(
@@ -155,13 +152,11 @@ class MetricSpace:
         return rep if all(rep.converts(e) for e in self.g) else self.exprs
 
     def representation(self, *exprs) -> "ExprRep | FieldRep":
-        """The chart's field representation when sqrt g and every expression
+        """The chart's field representation when g and every expression
         given convert to the table's jet ring, else the Expr one."""
         rep = self._chart
-        if rep is not self.exprs and all(
-                rep.converts(e) for e in (self.sqrt_det, *exprs)):
-            return rep
-        return self.exprs
+        return rep if rep is not self.exprs and all(
+            rep.converts(e) for e in exprs) else self.exprs
 
 
 def _inertia(A: list) -> tuple:
@@ -203,11 +198,10 @@ def _tensor(derive):
 
 
 class _Rep:
-    """The chart's tensors in one representation; a subclass gives `of`
-    (Expr -> element), `expr` (element -> normalized Expr), `normal`,
-    `diff`, `total_derivative`, `zero` and `inverse` (of a matrix, as
-    rows).  g and sqrt g are the chart's input; every other tensor is
-    derived from them here, once, with these methods."""
+    """The chart's tensors in one representation, derived once from g with
+    a subclass's `of` (Expr -> element), `expr` (element -> normalized
+    Expr), `normal`, `diff`, `total_derivative` and `zero`.  A formula with
+    sqrt g picks R with sqrt g or L in its inputs, or FieldRep.of raises."""
 
     def __init__(self, M: MetricSpace):
         self.space, self.table = M, M.table
@@ -215,9 +209,40 @@ class _Rep:
     g = cached_property(lambda self: _map(self.of, self.space.g.tolist()))
     sqrt_det = cached_property(lambda self: self.of(self.space.sqrt_det))
 
+    @cached_property
+    def _cofactors(self) -> list:
+        """(-1)^(i+j) M_ij of g, by Laplace expansion of remembered minors."""
+        g, n = self.g, self.space.n
+        @cache
+        def minor(rows, cols):
+            return sum((-1) ** k * g[rows[0]][c] * minor(
+                rows[1:], cols[:k] + cols[k + 1:])
+                for k, c in enumerate(cols) if g[rows[0]][c]) if rows else 1
+        rest = [tuple(range(i)) + tuple(range(i + 1, n)) for i in range(n)]
+        return [[(-1) ** (i + j) * minor(rest[i], rest[j]) for j in range(n)]
+                for i in range(n)]
+
+    @cached_property
+    def det_g(self):
+        """det g by g's first-row cofactors in the chart's representation;
+        printed off it unexpanded, where d_j det g / det g cancels fast."""
+        if self is not self.space._chart:
+            return self.space._chart.det_g.as_expr()
+        return self.normal(sum(self.g[0][j] * self._cofactors[0][j]
+                               for j in range(self.space.n)))
+
+    @cached_property
+    def dlog_det(self) -> list:
+        """d_j ln|det g| for each x^j, from this representation's det g."""
+        d = self.det_g
+        return [self.normal(self.diff(d, x) / d) for x in self.space.coords]
+
     @_tensor
     def g_inv(self):
-        return self.inverse(self.g)
+        """g^{-1} = adj g / det g; det g is inverted once."""
+        n, cof, inv_det = self.space.n, self._cofactors, self.det_g ** -1
+        return [[self.normal(cof[j][i] * inv_det) for j in range(n)]
+                for i in range(n)]
 
     @_tensor
     def christoffel(self):
@@ -316,9 +341,6 @@ class ExprRep(_Rep):
     def zero(self, e) -> Verdict:
         return is_zero(e, self.policy)
 
-    def inverse(self, A: list) -> list:
-        return sp.Matrix(A).inv().applyfunc(normalize).tolist()
-
 
 class FieldRep(_Rep):
     """Chart expressions as the symbol table's jet fractions; an identity
@@ -376,22 +398,6 @@ class FieldRep(_Rep):
 
     def zero(self, e) -> Verdict:
         return Verdict.NONZERO if e else Verdict.ZERO
-
-    def inverse(self, A: list) -> list:
-        """A^{-1} = adj A / det A for A over the coordinates: cofactors by
-        Laplace expansion of remembered minors; det A is inverted once."""
-        n = len(A)
-        @cache
-        def minor(rows, cols):
-            return sum((-1) ** k * A[rows[0]][c] * minor(
-                rows[1:], cols[:k] + cols[k + 1:])
-                for k, c in enumerate(cols) if A[rows[0]][c]) if rows else 1
-
-        rest = [tuple(range(i)) + tuple(range(i + 1, n)) for i in range(n)]
-        cof = [[(-1) ** (i + j) * minor(rest[i], rest[j]) for j in range(n)]
-               for i in range(n)]
-        inv_det = sum(A[0][j] * cof[0][j] for j in range(n)) ** -1
-        return [[cof[j][i] * inv_det for j in range(n)] for i in range(n)]
 
 
 @dataclass
@@ -482,13 +488,14 @@ def gradient(R, phi) -> list:
 
 def divergence(R, V: list):
     """div V = nabla_j V^j = D_j V^j + Gamma^j_jl V^l in R, normal, for
-    components V in R as in gradient; raises InternalConsistencyError
-    unless it is decided equal to (1/sqrt g) D_j(sqrt g V^j)."""
-    n, gam, sg = R.space.n, R.christoffel, R.sqrt_det
-    div = R.normal(sum(R.total_derivative(V[j], j)
-                       + sum(gam[j][j][l] * V[l] for l in range(n))
-                       for j in range(n)))
-    alt = sum(R.total_derivative(sg * V[j], j) for j in range(n)) / sg
+    components V in R as in gradient; raises InternalConsistencyError unless
+    it is decided equal to D_j V^j + V^j d_j ln|det g| / 2, which is
+    (1/2)(D_j V^j + D_j(det g V^j) / det g) = (1/sqrt g) D_j(sqrt g V^j)."""
+    n, gam, dlog = R.space.n, R.christoffel, R.dlog_det
+    dV = sum(R.total_derivative(V[j], j) for j in range(n))
+    div = R.normal(dV + sum(gam[j][j][l] * V[l]
+                            for j in range(n) for l in range(n)))
+    alt = dV + sp.Rational(1, 2) * sum(dlog[j] * V[j] for j in range(n))
     if R.zero(R.normal(div - alt)) is not Verdict.ZERO:
         raise InternalConsistencyError("divergence forms disagree")
     return div
@@ -517,8 +524,9 @@ def conformal_check(M: MetricSpace, xi: VectorField,
     warnings = [f"inconclusive zero test for residual ({i},{j})"
                 for (i, j), v in zip(pairs, verdicts)
                 if v is Verdict.INCONCLUSIVE]
-    max_res = max(0.0, *(_max_abs_sample(R.expr(res[i][j]), pol)
-                         for i, j in pairs))
+    nonzero = [e for e in (normalize(R.expr(res[i][j])) for i, j in pairs)
+               if e != 0]
+    max_res = max([0.0, *(v for e in nonzero for v in sample(e, pol)[0])])
     if any(v is not Verdict.ZERO for v in verdicts):
         return ConformalReport(ConformalVerdict.NOT_CONFORMAL, R.expr(mu),
                                max_res, warnings)
@@ -529,14 +537,6 @@ def conformal_check(M: MetricSpace, xi: VectorField,
     kind = conformal_kind(R, mu)
     mu = sp.Integer(0) if kind is ConformalVerdict.KILLING else R.expr(mu)
     return ConformalReport(kind, mu, max_res, warnings)
-
-
-def _max_abs_sample(e: Expr, policy: ZeroTestPolicy) -> float:
-    e = normalize(e)
-    if e == 0:
-        return 0.0
-    values, _ = sample(e, policy)
-    return max(values) if values else 0.0
 
 
 def laplace_beltrami(R, phi):

@@ -53,9 +53,9 @@ class Lagrangian:
     L: Expr = None
 
     def __post_init__(self):
-        """L built in the representation of F and printed from it."""
+        """L built in the representation of sqrt g and F, printed from it."""
         M, T, cls = self.space, self.space.table, self.nonlinearity
-        R = cls.representation(M)
+        R = cls.representation(M, M.sqrt_det)
         grad_u = gradient(R, R.of(T.u))
         kinetic = sum(R.of(T.jet1(i)) * grad_u[i] for i in range(M.n))
         self.L = R.expr(R.normal(R.sqrt_det * kinetic / 2
@@ -252,12 +252,12 @@ _CMATH = {k: v for k, v in vars(cmath).items() if not k.startswith("_")}
 
 
 def verify_current_symbolic(cur: ConservedCurrent) -> bool:
-    """Check D_k A^k = SIGMA sqrt(g) (eta - xi^k u_k) H identically in the
-    jet variables, in the field when the current, X and H convert; a
-    component build_current recorded there is not converted again."""
+    """Whether D_k A^k = SIGMA sqrt(g) Q H in the jets, in the field when
+    sqrt g, A, X and H convert; recorded components are not re-converted."""
     M, X, cls = cur.space, cur.generator, cur.nonlinearity
     H = poisson_equation(M, cls)
-    R = M.representation(*cur.components, *X.xi.components, X.eta(), H)
+    R = M.representation(M.sqrt_det, *cur.components, *X.xi.components,
+                         X.eta(), H)
     div = total_divergence(R, [R.of(e) for e in cur.components])
     Q = _characteristic(R, X)
     return R.zero(div - SIGMA * R.sqrt_det * Q * R.of(H)) is Verdict.ZERO

@@ -1,5 +1,7 @@
 """Shared fixtures: the (expensive) per-geometry suite reports, computed once
-per session, and a seeded random expression generator for property tests."""
+per session, a seeded random expression generator for property tests, and
+the normal forms and finite-difference outcomes of its expressions, each
+computed once and asserted on by every property test that needs it."""
 
 import random
 
@@ -7,7 +9,8 @@ import pytest
 import sympy as sp
 
 from poissonsym import catalog
-from poissonsym.exprcore import SymbolTable
+from poissonsym.exprcore import (EvaluationError, SymbolTable, diff,
+                                 eval_num, normalize)
 
 PROPERTY_SEED = 20240823
 N_PROPERTY_EXPRESSIONS = 1000
@@ -76,3 +79,64 @@ def property_expressions():
         if e.free_symbols and sp.count_ops(e) <= 40:
             exprs.append(e)
     return table, exprs
+
+
+@pytest.fixture(scope="session")
+def normal_forms(property_expressions):
+    """(normalize(e) for each property expression, normalize of each of
+    those), in the order of the expressions."""
+    _, exprs = property_expressions
+    normal = [normalize(e) for e in exprs]
+    return normal, [normalize(n) for n in normal]
+
+
+# ---------------------------------------------------------------------------
+# derivative / finite-difference agreement
+
+def try_eval(e, bindings):
+    try:
+        return eval_num(e, bindings)
+    except EvaluationError:
+        return None
+
+
+def finite_difference_agrees(e, s, bindings, exact):
+    """Central difference at shrinking steps; matches within 1e-6 relative."""
+    base = bindings[s]
+    for h in (1e-4, 1e-5, 1e-6):
+        step = h * (1.0 + abs(base))
+        up = try_eval(e, {**bindings, s: base + step})
+        dn = try_eval(e, {**bindings, s: base - step})
+        if up is None or dn is None:
+            continue
+        fd = (up - dn) / (2 * step)
+        if abs(fd - exact) <= 1e-6 * (1.0 + abs(exact) + abs(fd)):
+            return True
+    return False
+
+
+@pytest.fixture(scope="session")
+def finite_differences(property_expressions):
+    """For each property expression e, in order, (s, bindings, agrees): a
+    seeded symbol s of e, the first of up to eight seeded points where e
+    and de/ds evaluate with |de/ds| <= 1e6, and whether a central
+    difference there matches de/ds; None when no point qualifies."""
+    _, exprs = property_expressions
+    rng = random.Random(PROPERTY_SEED + 1)
+    outcomes = []
+    for e in exprs:
+        free = sorted(e.free_symbols, key=str)
+        s = rng.choice(free)
+        d = diff(e, s)
+        outcome = None
+        for _ in range(8):
+            bindings = {sym: rng.uniform(0.3, 1.7) for sym in free}
+            val = try_eval(e, bindings)
+            exact = try_eval(d, bindings)
+            if val is None or exact is None or abs(exact) > 1e6:
+                continue
+            outcome = (s, bindings,
+                       finite_difference_agrees(e, s, bindings, exact))
+            break
+        outcomes.append(outcome)
+    return outcomes

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from poissonsym import catalog
+from poissonsym import catalog, exprcore, geom
 from poissonsym.cli import (EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, EXIT_SYMMETRY,
                             InputError, export_fixture, load_manifest, main,
                             suite_document)
@@ -395,6 +395,53 @@ def test_lorentzian_current_on_a_curved_chart(tmp_path, capsys):
     assert (code, err) == (EXIT_OK, "")
     assert "sqrt(-t)" in out and "Abs" not in out
     assert out.count(": PASS") == 2
+
+
+#: a rational metric whose sqrt g does not convert to the field
+DENSE = {"manifold": {"coords": ["x", "y", "z"], "box": {"x": [1, 2]}},
+         "metric": {"g": [["3", "1/x", "-1"], ["1/x", "2+x^2", "-1"],
+                          ["-1", "-1", "2+y^2"]]}}
+
+
+def test_killing_solve_needs_no_sqrt_g(tmp_path, capsys, monkeypatch):
+    """g converts but sqrt g does not: the Killing solve needs g alone, so
+    every identity runs in the field and no sampled zero test is taken."""
+    def forbidden(*args):
+        raise AssertionError("sampled zero test on a rational metric")
+    for module in (exprcore, geom):
+        monkeypatch.setattr(module, "is_zero", forbidden)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(DENSE))
+    code, out, err = run_json(capsys, "killing", str(path), "--solve")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == {"fields": [{"generator": "G1", "xi": ["0", "0", "1"],
+                               "mu": "0", "label": "Isometry"}],
+                   "counts": {"Isometry": 1}, "dimension": 1}
+
+
+def test_zero_current_check_names_sqrt_g(tmp_path, capsys):
+    """D_k A^k = sqrt(g) Q H uses sqrt g itself, so a current without it
+    (X = 0) is still checked where sqrt g lives: on Exprs here."""
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(DENSE))
+    code, out, err = run(capsys, "current", str(path), "--class",
+                         "arbitrary", "0,0,0", "--verify", "5")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.count(": PASS") == 2
+
+
+def test_killing_solve_on_an_abs_sqrt_g_chart(tmp_path, capsys):
+    """With no box, g = diag(x^2, 1, 1) has sqrt g = |x|, which no
+    identity of g needs: the Laplacian and the solve take det g = x^2."""
+    doc = {"manifold": {"coords": ["x", "y", "z"]},
+           "metric": {"g": [["x^2", "0", "0"], ["0", "1", "0"],
+                            ["0", "0", "1"]]}}
+    path = tmp_path / "abs.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_json(capsys, "killing", str(path), "--solve")
+    assert (code, err) == (EXIT_OK, "")
+    assert out["dimension"] == 4
+    assert out["counts"] == {"Homothety": 1, "Isometry": 3}
 
 
 @pytest.mark.parametrize("cls", ["critical", "zero", "arbitrary"])

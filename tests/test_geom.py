@@ -165,12 +165,12 @@ def test_laplacian_forms_agree_on_random_polynomials(name):
 HALF_SPACE = [["1/z^2", "0", "0"], ["0", "1/z^2", "0"], ["0", "0", "1/z^2"]]
 
 
-@pytest.mark.parametrize("what", ["christoffel", "sqrt_det", "inconclusive"])
+@pytest.mark.parametrize("what", ["christoffel", "det_g", "inconclusive"])
 @pytest.mark.parametrize("route", ["field", "exprs"])
 def test_divergence_cross_check_raises(route, what, monkeypatch):
     """Delta_g, div xi and the jet Laplacian in H share one cross-check,
     which raises unless the two divergence forms are decided equal: break
-    the Christoffel symbols (zeroed), sqrt g (times z) or the zero test
+    the Christoffel symbols (zeroed), det g (times z) or the zero test
     (inconclusive)."""
     M = MetricSpace(["x", "y", "z"], HALF_SPACE, box={"z": (0.5, 2.0)})
     x, y, z = M.coords
@@ -183,8 +183,8 @@ def test_divergence_cross_check_raises(route, what, monkeypatch):
     if what == "christoffel":
         zero = R.of(sp.Integer(0))
         monkeypatch.setattr(R, "christoffel", [[[zero] * 3] * 3] * 3)
-    elif what == "sqrt_det":
-        monkeypatch.setattr(R, "sqrt_det", R.sqrt_det * R.of(z))
+    elif what == "det_g":
+        monkeypatch.setattr(R, "det_g", R.det_g * R.of(z))
     else:
         monkeypatch.setattr(R, "zero", lambda e: Verdict.INCONCLUSIVE)
     with pytest.raises(InternalConsistencyError):
@@ -225,13 +225,14 @@ def test_chart_arithmetic_takes_no_gcd(monkeypatch):
 
 
 def test_rational_metric_tensors_in_the_field():
-    """g converts but sqrt g does not: the tensors are derived in the field,
-    identities involving sqrt g run on Exprs."""
+    """g converts but sqrt g does not: the tensors and every identity of g
+    alone run in the field, identities involving sqrt g on Exprs."""
     M = MetricSpace(["x", "y", "z"],
                     [["3", "1/x", "-1"], ["1/x", "2+x^2", "-1"],
                      ["-1", "-1", "2+y^2"]], box={"x": (1.0, 2.0)})
     assert isinstance(M._chart, FieldRep)
-    assert M.representation() is M.exprs
+    assert M.representation() is M._chart
+    assert M.representation(M.sqrt_det) is M.exprs
     lap_z = laplace_beltrami(M.exprs, M.coords[2])
     assert is_zero(lap_z + M.gamma_contracted[2], M.policy()) is Verdict.ZERO
 

@@ -11,7 +11,7 @@ from poissonsym import catalog, noether
 from poissonsym.detsys import (NonlinearityClass, SymmetryGenerator,
                                poisson_equation)
 from poissonsym.exprcore import SymbolTable, Verdict, is_zero, normalize
-from poissonsym.geom import MetricSpace, VectorField
+from poissonsym.geom import InternalConsistencyError, MetricSpace, VectorField
 from poissonsym.noether import (SIGMA, Lagrangian, NoetherError, NoetherKind,
                                 build_current, euler_lagrange,
                                 noether_classify, prolong_apply,
@@ -97,6 +97,23 @@ def test_euler_lagrange_is_minus_density_weighted_equation(flat):
     from poissonsym.detsys import poisson_equation
     res = euler_lagrange(lag) + M.sqrt_det * poisson_equation(M, lag.nonlinearity)
     assert is_zero(res, M.policy()) is Verdict.ZERO
+
+
+def test_wrong_sqrt_g_fails_every_sqrt_g_identity(monkeypatch):
+    """sqrt g enters only through L and the representation picked for it:
+    sqrt g times z on sphere3 breaks E(L) + sqrt(g) H = 0 and the agreement
+    of the two prolongation routes."""
+    fix = catalog.load("sphere3")
+    M = fix.space
+    R = M.representation(M.sqrt_det)
+    monkeypatch.setattr(R, "sqrt_det", R.sqrt_det * R.of(M.coords[2]))
+    lag = Lagrangian(M, NonlinearityClass.arbitrary(M.table.u))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"E\(L\) \+ sqrt\(g\) H does not vanish"):
+        euler_lagrange(lag)
+    with pytest.raises(InternalConsistencyError,
+                       match="prolongation routes disagree"):
+        noether_classify(lag, fix.generator("S1"))
 
 
 # ---------------------------------------------------------------------------
