@@ -253,6 +253,16 @@ def test_curvature_json_is_pinned(name, capsys):
     assert out == json.dumps(golden[name], indent=2) + "\n"
 
 
+@pytest.mark.parametrize("name", catalog.GEOMETRY_NAMES)
+def test_export_is_pinned(name, capsys):
+    # the file maps each fixture to the document `export G` prints
+    golden = json.loads((Path(__file__).parent / "data"
+                         / "export_all.json").read_text())
+    code, out, err = run(capsys, "export", name)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == json.dumps(golden[name], indent=2) + "\n"
+
+
 def test_export_prints_manifest(capsys):
     code, out, _ = run(capsys, "export", "sol")
     assert code == EXIT_OK
