@@ -1,10 +1,11 @@
 """Command-line frontend: metric manifests in and out, plus reports for
 curvature, symmetry classification, Noether tests, conservation-law
-verification, and the built-in geometry suite.
+verification, and the fixture suite.
 
 Manifests are JSON documents; every expression value is a string in the
 package's expression grammar, and reports print expressions back in the
-same grammar so output is round-trippable.
+same grammar so output is round-trippable.  The built-in geometries are
+packaged manifests (`catalog.FIXTURES`) read by the same `load_manifest`.
 
 Exit codes: 0 success, 2 input error, 3 geometry error,
 4 symmetry/Noether failure.
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 from .exprcore import ExprError, SymbolTable, Verdict, to_grammar
 from .geom import (GeometryError, MetricSpace, VectorField, conformal_check,
@@ -45,12 +47,12 @@ class SymmetryError(Exception):
 # ---------------------------------------------------------------------------
 # manifest I/O
 
-def load_manifest(doc: dict) -> dict:
-    """Validate a manifest document and build its MetricSpace.
-
-    Returns {"space", "vectorfields", "nonlinearity", "ansatz"} where
-    vectorfields maps names to VectorField, nonlinearity is the raw block
-    (or None) and ansatz is an AnsatzBasis (or None).
+def load_manifest(doc: dict,
+                  name: str = "manifest") -> catalog.GeometryFixture:
+    """Validate a manifest document and build its geometry: the
+    MetricSpace, the named VectorFields, the ansatz (or None), the raw
+    nonlinearity block (or None) and what the optional `fixture` block
+    expects of the suite.
     """
     if not isinstance(doc, dict):
         raise InputError("manifest must be a JSON object")
@@ -82,29 +84,29 @@ def load_manifest(doc: dict) -> dict:
     if not isinstance(box, dict):
         raise InputError("manifold.box must be an object")
     box_t = {}
-    for name, rng in box.items():
-        if name not in coords:
-            raise InputError(f"bad box entry for '{name}': not a coordinate")
-        box_t[name] = _box_range(rng)
-        if box_t[name] is None:
-            raise InputError(f"bad box entry for '{name}': need [lo, hi], "
+    for coord, rng in box.items():
+        if coord not in coords:
+            raise InputError(f"bad box entry for '{coord}': not a coordinate")
+        box_t[coord] = _box_range(rng)
+        if box_t[coord] is None:
+            raise InputError(f"bad box entry for '{coord}': need [lo, hi], "
                              f"finite numbers with lo < hi")
     try:
         space = MetricSpace(coords, g_rows, signature=signature, box=box_t)
     except ExprError as exc:
         raise InputError(f"metric expression: {exc}") from exc
 
-    for key in ("vectorfields", "nonlinearity", "ansatz"):
+    for key in ("vectorfields", "nonlinearity", "ansatz", "fixture"):
         if not isinstance(doc.get(key) or {}, dict):
             raise InputError(f"{key} must be an object")
     fields = {}
-    for name, comps in (doc.get("vectorfields") or {}).items():
+    for key, comps in (doc.get("vectorfields") or {}).items():
         if not _strings(comps) or len(comps) != n:
-            raise InputError(f"vectorfield '{name}' needs {n} components")
+            raise InputError(f"vectorfield '{key}' needs {n} components")
         try:
-            fields[name] = VectorField(space, comps)
+            fields[key] = VectorField(space, comps)
         except (ExprError, GeometryError) as exc:
-            raise InputError(f"vectorfield '{name}': {exc}") from exc
+            raise InputError(f"vectorfield '{key}': {exc}") from exc
 
     ansatz = None
     basis_texts = (doc.get("ansatz") or {}).get("basis")
@@ -116,8 +118,108 @@ def load_manifest(doc: dict) -> dict:
         except (ExprError, DetSysError) as exc:
             raise InputError(f"ansatz: {exc}") from exc
 
-    return {"space": space, "vectorfields": fields,
-            "nonlinearity": doc.get("nonlinearity"), "ansatz": ansatz}
+    return catalog.GeometryFixture(
+        name, space, fields, ansatz, doc.get("nonlinearity"),
+        **_fixture_block(doc.get("fixture") or {}, space, fields))
+
+
+def _fixture_block(block: dict, M: MetricSpace, fields: dict) -> dict:
+    """GeometryFixture keyword arguments from a manifest's `fixture` block:
+    what the suite checks the geometry against.  The structure is checked
+    here; the expressions are parsed where the suite uses them."""
+    def need(ok, message):
+        if not ok:
+            raise InputError(f"fixture.{message}")
+
+    def text(key, value):
+        need(isinstance(value, str), f"{key} must be a string")
+        return value
+
+    def optional_text(key):
+        return None if block.get(key) is None else text(key, block[key])
+
+    def names(key, value):
+        need(_strings(value), f"{key} must be a list of vectorfield names")
+        for v in value:
+            need(v in fields, f"{key}: no vectorfield '{v}'")
+        return value
+
+    def expressions(key, value):
+        need(_strings(value) and len(value) == M.n,
+             f"{key} needs {M.n} expression strings")
+        return tuple(value)
+
+    def count(value):
+        return type(value) is int and value >= 0
+
+    def objects(key, kind):
+        value = block.get(key, kind())
+        need(isinstance(value, kind) and all(
+            isinstance(v, dict)
+            for v in (value.values() if kind is dict else value)),
+            f"{key} must " + ("map names to objects" if kind is dict
+                              else "be a list of objects"))
+        return value
+
+    dimension = block.get("isometry_dimension")
+    need(dimension is None or count(dimension),
+         "isometry_dimension must be a non-negative integer")
+    classes = block.get("class_dimensions", {})
+    need(isinstance(classes, dict) and all(map(count, classes.values())),
+         "class_dimensions must map class names to non-negative integers")
+
+    tags = [t.value for t in NonlinearityTag]
+    extras = []
+    for v, spec in objects("generators", dict).items():
+        where = f"generators.{v}"
+        names("generators", [v])
+        need(spec.get("case") in tags,
+             f"{where}.case must be one of {', '.join(tags)}")
+        need(spec.get("p") is None or type(spec["p"]) is int,
+             f"{where}.p must be an integer")
+        extras.append(catalog.KnownGenerator(
+            v, spec["case"], text(f"{where}.a", spec.get("a", "0")),
+            text(f"{where}.b", spec.get("b", "0")), spec.get("p")))
+
+    brackets = []
+    for i, spec in enumerate(objects("brackets", list)):
+        where = f"brackets[{i}]"
+        pair = names(f"{where}.fields", spec.get("fields"))
+        need(len(pair) == 2, f"{where}.fields must name two vectorfields")
+        brackets.append((*pair, expressions(f"{where}.expected",
+                                            spec.get("expected"))))
+
+    references = []
+    for i, spec in enumerate(objects("reference_currents", list)):
+        where = f"reference_currents[{i}]"
+        symmetry = text(f"{where}.symmetry", spec.get("symmetry"))
+        b = None
+        if symmetry == "b":             # the u-shift b(x) d/du, b given
+            b = text(f"{where}.b", spec.get("b"))
+        else:
+            names(f"{where}.symmetry", [symmetry])
+        matches = spec.get("matches")
+        need(isinstance(matches, list) and len(matches) == M.n
+             and all(type(m) is bool for m in matches),
+             f"{where}.matches needs {M.n} booleans")
+        references.append(catalog.ReferenceCurrent(
+            text(f"{where}.name", spec.get("name")), symmetry,
+            expressions(f"{where}.components", spec.get("components")),
+            tuple(matches), text(f"{where}.note", spec.get("note", "")), b))
+
+    return {
+        "killing": {v: fields[v] for v in names(
+            "killing", block.get("killing", []))},
+        "auxiliary_fields": {v: fields[v] for v in names(
+            "auxiliary", block.get("auxiliary", []))},
+        "expected_curvature": optional_text("curvature"),
+        "isometry_dimension": dimension,
+        "expected_class_dimensions": classes,
+        "extra_generators": tuple(extras),
+        "special_brackets": tuple(brackets),
+        "harmonic_b": optional_text("harmonic_b"),
+        "reference_currents": tuple(references),
+    }
 
 
 def _strings(value) -> bool:
@@ -137,7 +239,7 @@ def _box_range(rng):
     return (lo, hi) if -math.inf < lo < hi < math.inf else None
 
 
-def read_manifest(path: str) -> dict:
+def read_manifest(path: str) -> catalog.GeometryFixture:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -145,33 +247,19 @@ def read_manifest(path: str) -> dict:
         raise InputError(f"cannot read manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"manifest is not valid JSON: {exc}") from exc
-    return load_manifest(doc)
+    return load_manifest(doc, Path(path).stem)
 
 
-def export_fixture(fix: catalog.GeometryFixture) -> dict:
-    """Export a built-in fixture as a manifest document."""
-    M = fix.space
-    doc = {
-        "manifold": {
-            "coords": [str(c) for c in M.coords],
-            "signature": M.signature,
-            "box": {name: [lo, hi] for name, (lo, hi) in M.box.items()},
-        },
-        "metric": {"g": [[to_grammar(M.g[i, j]) for j in range(M.n)]
-                         for i in range(M.n)]},
-        "vectorfields": {
-            **{name: [to_grammar(c) for c in vf.components]
-               for name, vf in {**fix.killing,
-                                **fix.auxiliary_fields}.items()},
-            **{kg.name: list(kg.xi) for kg in fix.extra_generators},
-        },
-        "ansatz": {"basis": [to_grammar(f) for f in fix.basis.functions]},
-    }
+def export_fixture(name: str) -> dict:
+    """The packaged manifest of a built-in geometry, without its `fixture`
+    block."""
+    doc = catalog.document(name)
+    doc.pop("fixture", None)
     return doc
 
 
-def _resolve_input(args) -> dict:
-    """Manifest path or --geometry fixture name -> loaded manifest dict."""
+def _resolve_input(args) -> catalog.GeometryFixture:
+    """Manifest path or --geometry name -> the loaded manifest."""
     if args.geometry:
         # with --geometry there is no manifest path; the one positional of
         # a field command is the field
@@ -180,15 +268,7 @@ def _resolve_input(args) -> dict:
         if args.manifest:
             raise InputError(f"--geometry takes no manifest path, "
                              f"got '{args.manifest}'")
-        try:
-            fix = catalog.load(args.geometry)
-        except catalog.CatalogError as exc:
-            raise InputError(str(exc)) from exc
-        fields = {**fix.killing, **fix.auxiliary_fields,
-                  **{kg.name: fix.generator(kg.name).xi
-                     for kg in fix.extra_generators}}
-        return {"space": fix.space, "vectorfields": fields,
-                "nonlinearity": None, "ansatz": fix.basis}
+        return catalog.load(args.geometry)
     if not args.manifest:
         raise InputError("a manifest path or --geometry is required")
     return read_manifest(args.manifest)
@@ -198,20 +278,19 @@ def _resolve_input(args) -> dict:
 # nonlinearity / basis / generator resolution
 
 def _nonlinearity_from(args, loaded) -> NonlinearityClass:
-    block = loaded.get("nonlinearity") or {}
+    block = loaded.nonlinearity or {}
     name = getattr(args, "cls", None) or block.get("class")
     if not name:
         raise InputError("no nonlinearity class given (--class or manifest)")
     p = args.p if getattr(args, "p", None) is not None else block.get("p")
     k = getattr(args, "k", None) or block.get("k")
     try:
-        return NonlinearityClass.named(name, loaded["space"], p, k)
+        return NonlinearityClass.named(name, loaded.space, p, k)
     except (DetSysError, ExprError) as exc:
         raise InputError(str(exc)) from exc
 
 
 def _basis_from(args, loaded) -> AnsatzBasis:
-    M = loaded["space"]
     spec = getattr(args, "basis", None)
     if spec:
         try:
@@ -220,12 +299,10 @@ def _basis_from(args, loaded) -> AnsatzBasis:
         except OSError:
             texts = [t.strip() for t in spec.split(",") if t.strip()]
         try:
-            return AnsatzBasis.from_strings(M, texts)
+            return AnsatzBasis.from_strings(loaded.space, texts)
         except (ExprError, DetSysError) as exc:
             raise InputError(f"basis: {exc}") from exc
-    if loaded.get("ansatz") is not None:
-        return loaded["ansatz"]
-    return AnsatzBasis.polynomial(M, 2)
+    return loaded.basis
 
 
 def _canonical_generator(M: MetricSpace, cls: NonlinearityClass,
@@ -239,12 +316,12 @@ def _canonical_generator(M: MetricSpace, cls: NonlinearityClass,
 def _generator_from(args, loaded, cls) -> SymmetryGenerator:
     """Field spec: a named manifest vectorfield, or inline comma-separated
     components; lifted canonically to (xi, a, b) for the class."""
-    M = loaded["space"]
+    M = loaded.space
     spec = args.field
     if not spec:
         raise InputError("a field spec (name or components) is required")
-    if spec in loaded["vectorfields"]:
-        xi = loaded["vectorfields"][spec]
+    if spec in loaded.vectorfields:
+        xi = loaded.vectorfields[spec]
     elif "," in spec:
         comps = [t.strip() for t in spec.split(",")]
         if len(comps) != M.n:
@@ -254,7 +331,7 @@ def _generator_from(args, loaded, cls) -> SymmetryGenerator:
         except (ExprError, GeometryError) as exc:
             raise InputError(f"field: {exc}") from exc
     else:
-        known = ", ".join(sorted(loaded["vectorfields"])) or "(none)"
+        known = ", ".join(sorted(loaded.vectorfields)) or "(none)"
         raise InputError(f"unknown vectorfield '{spec}'; manifest has: {known}")
     gen = _canonical_generator(M, cls, xi)
     _require_symmetry(M, gen, cls)
@@ -288,7 +365,7 @@ def _require_symmetry(M, gen, cls):
 
 def cmd_curvature(args) -> int:
     loaded = _resolve_input(args)
-    M = loaded["space"]
+    M = loaded.space
     gamma = M.christoffel
     nonzero = {}
     for k in range(M.n):
@@ -319,7 +396,7 @@ def cmd_curvature(args) -> int:
 
 def cmd_killing(args) -> int:
     loaded = _resolve_input(args)
-    M = loaded["space"]
+    M = loaded.space
     if args.solve:
         basis = _basis_from(args, loaded)
         cls = NonlinearityClass.zero(M.table.u)
@@ -350,11 +427,11 @@ def cmd_killing(args) -> int:
         return EXIT_OK
     if not args.field:
         raise InputError("give a vectorfield name or --solve")
-    if args.field not in loaded["vectorfields"]:
-        known = ", ".join(sorted(loaded["vectorfields"])) or "(none)"
+    if args.field not in loaded.vectorfields:
+        known = ", ".join(sorted(loaded.vectorfields)) or "(none)"
         raise InputError(f"unknown vectorfield '{args.field}'; "
                          f"manifest has: {known}")
-    rep = conformal_check(M, loaded["vectorfields"][args.field],
+    rep = conformal_check(M, loaded.vectorfields[args.field],
                           seed=args.seed)
     if args.json:
         print(json.dumps({"field": args.field, "verdict": rep.verdict.value,
@@ -383,7 +460,7 @@ def _classify_rows(table):
 
 def cmd_classify(args) -> int:
     loaded = _resolve_input(args)
-    M = loaded["space"]
+    M = loaded.space
     cls = _nonlinearity_from(args, loaded)
     basis = _basis_from(args, loaded)
     table = classify(M, cls, basis)
@@ -408,7 +485,7 @@ def cmd_classify(args) -> int:
 
 def cmd_noether(args) -> int:
     loaded = _resolve_input(args)
-    M = loaded["space"]
+    M = loaded.space
     cls = _nonlinearity_from(args, loaded)
     gen = _generator_from(args, loaded, cls)
     lag = Lagrangian(M, cls)
@@ -438,7 +515,7 @@ def cmd_current(args) -> int:
     if args.verify < 0:
         raise InputError(f"--verify needs N >= 0, not {args.verify}")
     loaded = _resolve_input(args)
-    M = loaded["space"]
+    M = loaded.space
     cls = _nonlinearity_from(args, loaded)
     gen = _generator_from(args, loaded, cls)
     lag = Lagrangian(M, cls)
@@ -483,15 +560,12 @@ def suite_document(reports) -> dict:
 
 
 def cmd_suite(args) -> int:
-    if args.all:
-        names = catalog.GEOMETRY_NAMES
-    elif args.geometry:
-        names = (args.geometry,)
-    else:
-        raise InputError("give --geometry <name> or --all")
+    if args.all == bool(args.manifest or args.geometry):
+        raise InputError("give a manifest path, --geometry <name> or --all")
+    fixtures = (map(catalog.load, catalog.GEOMETRY_NAMES) if args.all
+                else [_resolve_input(args)])
     reports = []
-    for name in names:
-        fix = catalog.load(name)
+    for fix in fixtures:
         rep = catalog.run_fixture_suite(fix)
         reports.append(rep)
         if not args.json:
@@ -512,11 +586,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        fix = catalog.load(args.geometry)
-    except catalog.CatalogError as exc:
-        raise InputError(str(exc)) from exc
-    print(json.dumps(export_fixture(fix), indent=2))
+    print(json.dumps(export_fixture(args.geometry), indent=2))
     return EXIT_OK
 
 
@@ -526,7 +596,7 @@ def cmd_export(args) -> int:
 def _add_common(p, manifest=True):
     if manifest:
         p.add_argument("manifest", nargs="?", help="manifest JSON path")
-        p.add_argument("--geometry", help="use a built-in geometry fixture")
+        p.add_argument("--geometry", help="use a built-in geometry")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seed", type=int, default=7,
                    help="RNG seed for sampling reproducibility")
@@ -605,15 +675,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify symbolically and on N numeric samples")
     p.set_defaults(func=cmd_current)
 
-    p = sub.add_parser("suite", help="run built-in fixture suites")
-    _add_common(p, manifest=False)
-    p.add_argument("--geometry", help="one geometry fixture")
-    p.add_argument("--all", action="store_true", help="all eight geometries")
+    p = sub.add_parser("suite", help="run the fixture suite on a manifest")
+    _add_common(p)
+    p.add_argument("--all", action="store_true",
+                   help="all eight built-in geometries")
     p.set_defaults(func=cmd_suite)
 
-    p = sub.add_parser("export", help="print a fixture as a manifest")
+    p = sub.add_parser("export", help="print a built-in geometry's manifest")
     _add_common(p, manifest=False)
-    p.add_argument("geometry", help="geometry fixture name")
+    p.add_argument("geometry", help="built-in geometry name")
     p.set_defaults(func=cmd_export)
 
     return ap

@@ -1,6 +1,9 @@
 """Built-in geometry fixtures: loading, internal consistency, reference-table
 reconciliation, and the per-geometry check suite."""
 
+import json
+from pathlib import Path
+
 import pytest
 import sympy as sp
 
@@ -14,6 +17,16 @@ def test_geometry_names():
     assert len(catalog.GEOMETRY_NAMES) == 8
     assert "euclidean" in catalog.GEOMETRY_NAMES
     assert "sphere3" in catalog.GEOMETRY_NAMES
+    # one packaged manifest per name, and no other
+    assert ({p.stem for p in catalog.FIXTURES.glob("*.json")}
+            == set(catalog.GEOMETRY_NAMES))
+    # `suite --all` runs them in this order, which the pinned outputs keep
+    data = Path(__file__).parent / "data"
+    suites = json.loads((data / "suite_all.json").read_text())["suites"]
+    assert tuple(s["geometry"] for s in suites) == catalog.GEOMETRY_NAMES
+    for pin in ("export_all.json", "curvature_all.json"):
+        assert tuple(json.loads((data / pin).read_text())) \
+            == catalog.GEOMETRY_NAMES
 
 
 def test_unknown_geometry_rejected():

@@ -35,15 +35,15 @@ def run_json(capsys, *argv):
 @pytest.mark.parametrize("name", ["euclidean", "hyperbolic3", "heisenberg"])
 def test_export_round_trip(name):
     fix = catalog.load(name)
-    doc = export_fixture(fix)
+    doc = export_fixture(name)
     loaded = load_manifest(doc)
-    M, M2 = fix.space, loaded["space"]
+    M, M2 = fix.space, loaded.space
     assert [str(c) for c in M2.coords] == [str(c) for c in M.coords]
     for i in range(M.n):
         for j in range(M.n):
             back = parse(doc["metric"]["g"][i][j], M.table)
             assert normalize(back - M.g[i, j]) == 0
-    assert set(fix.killing) <= set(loaded["vectorfields"])
+    assert set(fix.killing) <= set(loaded.vectorfields)
 
 
 def test_manifest_schema_errors():
@@ -90,7 +90,7 @@ def test_manifest_schema_errors():
             load_manifest({**flat, "metric": {"g": [[entry, 0, 0], [0, 1, 0],
                                                     [0, 0, 1]]}})
     M = load_manifest({**flat, "metric": {"g": [[1.5, 0, 0], [0, 1, 0],
-                                                [0, 0, 1]]}})["space"]
+                                                [0, 0, 1]]}}).space
     assert M.g[0, 0] == sp.Rational(3, 2) and M.sqrt_det == sp.sqrt(6) / 2
     # expressions must be finite
     for text in ("1/0", "0^(-1)", "0/0", "ln(0)"):
@@ -109,7 +109,7 @@ def test_manifest_schema_errors():
 
 
 def test_manifest_file_workflow(tmp_path, capsys):
-    doc = export_fixture(catalog.load("euclidean"))
+    doc = export_fixture("euclidean")
     path = tmp_path / "flat.json"
     path.write_text(json.dumps(doc))
     code, payload, _ = run_json(capsys, "curvature", str(path))
@@ -126,11 +126,11 @@ def test_manifest_file_workflow(tmp_path, capsys):
     ("noether", "euclidean", "--class", "exponential", "R13"),
 ])
 def test_geometry_matches_exported_manifest(argv, tmp_path, capsys):
-    """--geometry uses the fixture directly; its exported manifest must give
-    the same report (extra generators included)."""
+    """--geometry reads the packaged manifest; its export, without the
+    fixture block, must give the same report (extra generators included)."""
     command, name, *rest = argv
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(export_fixture(catalog.load(name))))
+    path.write_text(json.dumps(export_fixture(name)))
     direct = run_json(capsys, command, "--geometry", name, *rest)
     via_file = run_json(capsys, command, str(path), *rest)
     assert direct[0] == via_file[0] == EXIT_OK
@@ -235,6 +235,88 @@ def test_suite_single_geometry(capsys):
     assert "PASS" in out
 
 
+#: flat R^3 with three of its Killing fields and a linear ansatz
+FLAT_MANIFEST = {
+    "manifold": {"coords": ["x", "y", "z"]},
+    "metric": {"g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+    "vectorfields": {"T": ["1", "0", "0"], "S": ["0", "1", "0"],
+                     "R": ["y", "-x", "0"]},
+    "ansatz": {"basis": ["1", "x", "y", "z"]}}
+
+
+def test_suite_runs_the_checks_a_manifest_block_supports(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(FLAT_MANIFEST))
+    code, bare, err = run_json(capsys, "suite", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    [report] = bare["suites"]
+    assert report["geometry"] == "flat"
+    assert {c["name"].split(":")[0] for c in report["checks"]} == {
+        "classify", "isometry_labels", "noether", "currents"}
+    path.write_text(json.dumps({**FLAT_MANIFEST, "fixture": {
+        "curvature": "0", "killing": ["T", "S", "R"],
+        "class_dimensions": {"arbitrary": 6}, "harmonic_b": "x"}}))
+    code, full, err = run_json(capsys, "suite", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    names = [c["name"] for c in full["suites"][0]["checks"]]
+    assert names[:7] == ["curvature", "killing:T", "killing:S", "killing:R",
+                         "basis_independent", "bracket_closure", "harmonic_b"]
+    assert {"classify:arbitrary:dimension", "isometry_span"} <= set(names)
+    assert full["suites"][0]["class_dimensions"] \
+        == report["class_dimensions"]
+
+
+_REF = {"name": "A", "symmetry": "T", "components": ["0", "0", "0"],
+        "matches": [True, True, True]}
+
+
+#: one malformed part of a `fixture` block each
+MALFORMED_BLOCKS = {
+    "not-an-object": ["T"],
+    "curvature-number": {"curvature": 0},
+    "isometry-dimension-negative": {"isometry_dimension": -1},
+    "class-dimension-float": {"class_dimensions": {"arbitrary": 6.5}},
+    "class-dimension-bool": {"class_dimensions": {"arbitrary": True}},
+    "killing-unknown-field": {"killing": ["T", "Q"]},
+    "killing-not-a-list": {"killing": "T"},
+    "auxiliary-not-names": {"auxiliary": [1]},
+    "generator-unknown-field": {"generators": {"Q": {"case": "zero"}}},
+    "generator-unknown-case": {"generators": {"T": {"case": "nosuch"}}},
+    "generator-p-text": {"generators": {"T": {"case": "power", "p": "3"}}},
+    "generator-not-an-object": {"generators": {"T": ["zero"]}},
+    "bracket-three-fields": {"brackets": [{"fields": ["T", "S", "R"],
+                                           "expected": ["0", "0", "0"]}]},
+    "bracket-short-expected": {"brackets": [{"fields": ["T", "S"],
+                                             "expected": ["0", "0"]}]},
+    "brackets-not-a-list": {"brackets": {"fields": ["T", "S"]}},
+    "harmonic-b-number": {"harmonic_b": 1},
+    "reference-without-components": {"reference_currents": [
+        {k: v for k, v in _REF.items() if k != "components"}]},
+    "reference-short-matches": {"reference_currents": [
+        {**_REF, "matches": [True, True]}]},
+    "reference-matches-not-bools": {"reference_currents": [
+        {**_REF, "matches": [1, 1, 1]}]},
+    "reference-unknown-symmetry": {"reference_currents": [
+        {**_REF, "symmetry": "Q"}]},
+    "reference-shift-without-b": {"reference_currents": [
+        {**_REF, "symmetry": "b"}]},
+    "reference-without-name": {"reference_currents": [
+        {**_REF, "name": None}]},
+    "reference-note-number": {"reference_currents": [{**_REF, "note": 3}]},
+    "reference-not-an-object": {"reference_currents": ["A"]},
+}
+
+
+@pytest.mark.parametrize("block", MALFORMED_BLOCKS.values(),
+                         ids=list(MALFORMED_BLOCKS))
+def test_malformed_fixture_block_exit_2(block, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**FLAT_MANIFEST, "fixture": block}))
+    code, out, err = run(capsys, "suite", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: fixture") and err.count("\n") == 1
+
+
 def test_suite_all_json_is_pinned(suite_reports):
     # `suite --all --json` prints this document; the file holds its output
     reports = [suite_reports[name] for name in catalog.GEOMETRY_NAMES]
@@ -332,7 +414,10 @@ def test_missing_args_exit_2(capsys, tmp_path):
                  ("classify", "--geometry", "euclidean", "--class", "nosuch"),
                  ("curvature", "--geometry", "euclidean", "--seed", "x"),
                  ("nosuch",),
-                 ("suite", "--geometry", "nosuch")):
+                 ("suite", "--geometry", "nosuch"),
+                 # suite takes one manifest, one --geometry or --all
+                 ("suite",),
+                 ("suite", "--all", "--geometry", "euclidean")):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
