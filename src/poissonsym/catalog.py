@@ -227,6 +227,12 @@ def _bracket_closure(fix: GeometryFixture, report: SuiteReport):
     report.add("bracket_closure", not failures, detail="; ".join(failures))
 
 
+def sweep_class(M: MetricSpace, cname: str) -> NonlinearityClass:
+    """The class of the sweep name cname on M (k symbolic), or an error."""
+    name, p = _SWEEP_ALIASES.get(cname, (cname, None))
+    return NonlinearityClass.named(name, M, p, None)
+
+
 def _noether_representative(gen: SymmetryGenerator, cls: NonlinearityClass,
                             mu) -> SymmetryGenerator:
     """For the scaling classes a = ((2-n)/4) mu + c can be shifted to the
@@ -240,8 +246,7 @@ def _noether_representative(gen: SymmetryGenerator, cls: NonlinearityClass,
 
 def _run_class(fix: GeometryFixture, cname: str, report: SuiteReport):
     M = fix.space
-    name, p = _SWEEP_ALIASES.get(cname, (cname, None))
-    cls = NonlinearityClass.named(name, M, p, None)
+    cls = sweep_class(M, cname)
     table = classify(M, cls, fix.basis)
     report.class_dimensions[cname] = table.dimension
     report.add(f"classify:{cname}:clean", not table.inconclusive,
@@ -338,10 +343,14 @@ def reconcile_reference_tables(fix: GeometryFixture):
     return results
 
 
-def run_fixture_suite(fixture, classes=DEFAULT_CLASSES) -> SuiteReport:
-    """Run the class sweep and every check the fixture block supports;
-    failures are collected, never raised."""
+def run_fixture_suite(fixture, classes=None) -> SuiteReport:
+    """Run the class sweep (by default DEFAULT_CLASSES, then each other
+    class the block gives a dimension) and every check the fixture block
+    supports; failures are collected, never raised."""
     fix = load(fixture) if isinstance(fixture, str) else fixture
+    if classes is None:
+        classes = dict.fromkeys(DEFAULT_CLASSES + tuple(
+            fix.expected_class_dimensions))
     M = fix.space
     # the fixture's hand-entered data are checked with the sampled zero
     # test on Exprs, independently of the field the pipeline computes in

@@ -24,7 +24,7 @@ from .geom import (GeometryError, MetricSpace, VectorField, conformal_check,
                    conformal_factor)
 from .detsys import (AnsatzBasis, DetSysError, NonlinearityClass,
                      NonlinearityTag, SymmetryGenerator, classify,
-                     determining_residuals)
+                     conformal_algebra, determining_residuals)
 from .noether import (Lagrangian, NoetherError, NoetherKind, build_current,
                       noether_classify, verify_current_numeric,
                       verify_current_symbolic)
@@ -66,7 +66,7 @@ def load_manifest(doc: dict,
     if signature not in ("riemannian", "lorentzian"):
         raise InputError(f"manifold.signature must be 'riemannian' or "
                          f"'lorentzian', not {json.dumps(signature)}")
-    box = man.get("box") or {}
+    box = man.get("box", {})
     if not _strings(coords):
         raise InputError("manifold.coords must be a list of strings")
     try:
@@ -96,11 +96,12 @@ def load_manifest(doc: dict,
     except ExprError as exc:
         raise InputError(f"metric expression: {exc}") from exc
 
+    # an optional block is an object when present, whatever its value
     for key in ("vectorfields", "nonlinearity", "ansatz", "fixture"):
-        if not isinstance(doc.get(key) or {}, dict):
+        if not isinstance(doc.get(key, {}), dict):
             raise InputError(f"{key} must be an object")
     fields = {}
-    for key, comps in (doc.get("vectorfields") or {}).items():
+    for key, comps in doc.get("vectorfields", {}).items():
         if not _strings(comps) or len(comps) != n:
             raise InputError(f"vectorfield '{key}' needs {n} components")
         try:
@@ -109,7 +110,7 @@ def load_manifest(doc: dict,
             raise InputError(f"vectorfield '{key}': {exc}") from exc
 
     ansatz = None
-    basis_texts = (doc.get("ansatz") or {}).get("basis")
+    basis_texts = doc.get("ansatz", {}).get("basis")
     if basis_texts is not None and not _strings(basis_texts):
         raise InputError("ansatz.basis must be a list of strings")
     if basis_texts:
@@ -120,7 +121,7 @@ def load_manifest(doc: dict,
 
     return catalog.GeometryFixture(
         name, space, fields, ansatz, doc.get("nonlinearity"),
-        **_fixture_block(doc.get("fixture") or {}, space, fields))
+        **_fixture_block(doc.get("fixture", {}), space, fields))
 
 
 def _fixture_block(block: dict, M: MetricSpace, fields: dict) -> dict:
@@ -167,6 +168,12 @@ def _fixture_block(block: dict, M: MetricSpace, fields: dict) -> dict:
     classes = block.get("class_dimensions", {})
     need(isinstance(classes, dict) and all(map(count, classes.values())),
          "class_dimensions must map class names to non-negative integers")
+    for cname in classes:
+        try:
+            catalog.sweep_class(M, cname)
+        except (DetSysError, GeometryError) as exc:
+            need(False, f"class_dimensions: the suite cannot run '{cname}' "
+                        f"here ({exc})")
 
     tags = [t.value for t in NonlinearityTag]
     extras = []
@@ -305,17 +312,10 @@ def _basis_from(args, loaded) -> AnsatzBasis:
     return loaded.basis
 
 
-def _canonical_generator(M: MetricSpace, cls: NonlinearityClass,
-                         xi: VectorField) -> SymmetryGenerator:
-    """Lift a conformal field to the canonical symmetry generator of the
-    class (see NonlinearityClass.lift)."""
-    a, b = cls.lift(M.n, conformal_factor(M, xi))
-    return SymmetryGenerator(xi, a, b)
-
-
 def _generator_from(args, loaded, cls) -> SymmetryGenerator:
     """Field spec: a named manifest vectorfield, or inline comma-separated
-    components; lifted canonically to (xi, a, b) for the class."""
+    components; lifted canonically to (xi, a, b) for the class
+    (`NonlinearityClass.lift`)."""
     M = loaded.space
     spec = args.field
     if not spec:
@@ -333,7 +333,7 @@ def _generator_from(args, loaded, cls) -> SymmetryGenerator:
     else:
         known = ", ".join(sorted(loaded.vectorfields)) or "(none)"
         raise InputError(f"unknown vectorfield '{spec}'; manifest has: {known}")
-    gen = _canonical_generator(M, cls, xi)
+    gen = SymmetryGenerator(xi, *cls.lift(M.n, conformal_factor(M, xi)))
     _require_symmetry(M, gen, cls)
     return gen
 
@@ -366,14 +366,10 @@ def _require_symmetry(M, gen, cls):
 def cmd_curvature(args) -> int:
     loaded = _resolve_input(args)
     M = loaded.space
-    gamma = M.christoffel
-    nonzero = {}
-    for k in range(M.n):
-        for i in range(M.n):
-            for j in range(i, M.n):
-                if gamma[k][i][j] != 0:
-                    key = f"Gamma^{M.coords[k]}_{M.coords[i]}{M.coords[j]}"
-                    nonzero[key] = to_grammar(gamma[k][i][j])
+    c, gamma = M.coords, M.christoffel
+    nonzero = {f"Gamma^{c[k]}_{c[i]}{c[j]}": to_grammar(gamma[k][i][j])
+               for k in range(M.n) for i in range(M.n)
+               for j in range(i, M.n) if gamma[k][i][j] != 0}
     ricci = [[to_grammar(M.ricci[i][j]) for j in range(M.n)]
              for i in range(M.n)]
     R = to_grammar(M.scalar_curvature)
@@ -382,11 +378,8 @@ def cmd_curvature(args) -> int:
                           "scalar_curvature": R}, indent=2))
     else:
         print("Nonzero Christoffel symbols:")
-        if nonzero:
-            for key, val in sorted(nonzero.items()):
-                print(f"  {key} = {val}")
-        else:
-            print("  (none)")
+        print("\n".join(f"  {key} = {val}" for key, val
+                        in sorted(nonzero.items())) or "  (none)")
         print("Ricci tensor:")
         for row in ricci:
             print("  [" + ", ".join(row) + "]")
@@ -398,23 +391,13 @@ def cmd_killing(args) -> int:
     loaded = _resolve_input(args)
     M = loaded.space
     if args.solve:
-        basis = _basis_from(args, loaded)
-        cls = NonlinearityClass.zero(M.table.u)
-        table = classify(M, cls, basis)
-        # the solve runs in the widest case (it admits every conformal
-        # field); entries with xi = 0 are pure u-shifts, not vector fields
-        entries = [e for e in table.entries
-                   if any(c != 0 for c in e.generator.xi.components)]
-        rows = []
-        counts = {}
-        for i, e in enumerate(entries):
-            counts[e.label] = counts.get(e.label, 0) + 1
-            rows.append({
-                "generator": f"G{i + 1}",
-                "xi": [to_grammar(c) for c in e.generator.xi.components],
-                "mu": to_grammar(e.mu),
-                "label": e.label,
-            })
+        C = conformal_algebra(M, _basis_from(args, loaded))
+        rows = [{"generator": f"G{i + 1}",
+                 "xi": [to_grammar(C.R.expr(c)) for c in xi],
+                 "mu": to_grammar(C.R.expr(mu)), "label": label}
+                for i, (xi, mu, label) in enumerate(zip(C.xi, C.mu,
+                                                        C.labels))]
+        counts = {label: C.labels.count(label) for label in C.labels}
         if args.json:
             print(json.dumps({"fields": rows, "counts": counts,
                               "dimension": len(rows)}, indent=2))
@@ -442,29 +425,17 @@ def cmd_killing(args) -> int:
     return EXIT_OK
 
 
-def _classify_rows(table):
-    rows = []
-    for i, e in enumerate(table.entries):
-        rows.append({
-            "generator": f"G{i + 1}",
-            "xi": [to_grammar(c) for c in e.generator.xi.components],
-            "a": to_grammar(e.generator.a),
-            "b": to_grammar(e.generator.b),
-            "mu": to_grammar(e.mu),
-            "case": e.case,
-            "checks": [{"name": name, "passed": ok}
-                       for name, ok in e.side_checks.items()],
-        })
-    return rows
-
-
 def cmd_classify(args) -> int:
     loaded = _resolve_input(args)
-    M = loaded.space
     cls = _nonlinearity_from(args, loaded)
-    basis = _basis_from(args, loaded)
-    table = classify(M, cls, basis)
-    rows = _classify_rows(table)
+    table = classify(loaded.space, cls, _basis_from(args, loaded))
+    rows = [{"generator": f"G{i + 1}",
+             "xi": [to_grammar(c) for c in e.generator.xi.components],
+             "a": to_grammar(e.generator.a), "b": to_grammar(e.generator.b),
+             "mu": to_grammar(e.mu), "case": cls.tag.value,
+             "checks": [{"name": name, "passed": ok}
+                        for name, ok in e.side_checks.items()]}
+            for i, e in enumerate(table.entries)]
     if args.json:
         print(json.dumps({"class": cls.tag.value, "dimension": len(rows),
                           "generators": rows}, indent=2))
@@ -483,13 +454,17 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_noether(args) -> int:
+def _noether_test(args) -> tuple:
+    """(M, class, Lagrangian, generator, verdict) of a field command."""
     loaded = _resolve_input(args)
-    M = loaded.space
     cls = _nonlinearity_from(args, loaded)
     gen = _generator_from(args, loaded, cls)
-    lag = Lagrangian(M, cls)
-    verdict = noether_classify(lag, gen)
+    lag = Lagrangian(loaded.space, cls)
+    return loaded.space, cls, lag, gen, noether_classify(lag, gen)
+
+
+def cmd_noether(args) -> int:
+    _, cls, _, _, verdict = _noether_test(args)
     out = {"field": args.field, "class": cls.tag.value,
            "verdict": verdict.kind.value,
            "residual": to_grammar(verdict.residual)}
@@ -514,12 +489,7 @@ def cmd_noether(args) -> int:
 def cmd_current(args) -> int:
     if args.verify < 0:
         raise InputError(f"--verify needs N >= 0, not {args.verify}")
-    loaded = _resolve_input(args)
-    M = loaded.space
-    cls = _nonlinearity_from(args, loaded)
-    gen = _generator_from(args, loaded, cls)
-    lag = Lagrangian(M, cls)
-    verdict = noether_classify(lag, gen)
+    M, _, lag, gen, verdict = _noether_test(args)
     cur = build_current(lag, gen, verdict)
     out = {"component": [to_grammar(c) for c in cur.components],
            "max_divergence": None, "verdict": verdict.kind.value}

@@ -12,14 +12,14 @@ with an equivalent form of (S3) that carries ((2-n)/4)(Delta_g mu) u in
 place of the curvature term; the two agree for conformal xi because
 Delta_g mu = -(1/(n-1))(xi^i R_,i + mu R).
 
-The system is built once, in the chart's representation (`geom`): exact
-in the chart's jet fractions (`exprcore.JetFraction`) when the inputs
-convert, sampled Exprs otherwise.  `solve_linear_ansatz` reduces it to
-exact linear algebra over a finite function basis: the residuals are
-linear in the ansatz coefficients, so splitting them by monomial
-(`exprcore.linear_relations`) gives a linear system over QQ whose
-nullspace spans the candidate generators; candidates are then
-re-verified.
+S3 is linear in the functions of u (u f', f', f, u, 1), with coefficients
+(a, b, mu - a, curv, Delta_g b) free of u, curv being the curvature term;
+their QQ-linear relations split S3 into equations on those coefficients
+(`NonlinearityClass.split`).  `conformal_algebra` solves S1 over a finite
+function basis, once per chart and basis, and a class is a linear cut of
+it by S2 and its split S3 (`solve_linear_ansatz`): exact in the chart's
+jet fractions (`exprcore.JetFraction`) when g and the basis convert, else
+on sampled Exprs, each a linear system over QQ (`linear_relations`).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, lru_cache
 
 import sympy as sp
 
@@ -42,6 +43,8 @@ from .geom import (
     gradient,
     laplace_beltrami,
 )
+
+_U_TABLE = SymbolTable(["x"])    # u, F_val, f_val, fprime_val of every chart
 
 
 class DetSysError(Exception):
@@ -68,7 +71,7 @@ class NonlinearityClass:
     `SymbolTable.diff_u` applies the chain rule F -> f -> f'.
 
     This class is the case table: `named` builds a class from its name, and
-    `with_b`, `scaling`, `lift`, `side_checks`, `potential` and
+    `split`, `scaling`, `lift`, `side_checks`, `potential` and
     `scales_lagrangian` hold every rule that depends on the case.
     """
 
@@ -144,27 +147,34 @@ class NonlinearityClass:
             raise DetSysError("class 'p2n6' requires dimension n = 6")
         if name == "critical":          # no critical exponent for n = 2
             _require_classifiable(M)
-        make = {
-            "arbitrary": lambda: NonlinearityClass.arbitrary(u),
-            "zero": lambda: NonlinearityClass.zero(u),
-            "constant": lambda: NonlinearityClass.constant(
-                u, None if k is None else parse(str(k), M.table)),
-            "linear": lambda: NonlinearityClass.linear(u),
-            "exponential": lambda: NonlinearityClass.exponential(u),
-            "power": lambda: NonlinearityClass.power(u, p, n),
-            "critical": lambda: NonlinearityClass.power(
-                u, sp.Rational(n + 2, n - 2), n),
-            "p2n6": lambda: NonlinearityClass.power(u, 2, 6),
-        }
-        if name not in make:
+            p = sp.Rational(n + 2, n - 2)
+        if name in ("power", "critical", "p2n6"):
+            return NonlinearityClass.power(u, 2 if name == "p2n6" else p, n)
+        if name == "constant":
+            return NonlinearityClass.constant(
+                u, None if k is None else parse(str(k), M.table))
+        if name not in ("arbitrary", "zero", "linear", "exponential"):
             raise DetSysError(f"unknown nonlinearity class '{name}'")
-        return make[name]()
+        return getattr(NonlinearityClass, name)(u)
 
     @property
-    def with_b(self) -> bool:
-        """Whether the ansatz carries b(x): b is forced to zero only for pure
-        power nonlinearities (critical included); exponential needs b = -mu."""
-        return self.tag not in (NonlinearityTag.POWER, NonlinearityTag.CRITICAL)
+    def u_functions(self) -> list:
+        """S3's functions of u: u f', f', f, u and 1."""
+        fp = self.fprime()
+        return [self.u * fp, fp, self.f, self.u, sp.Integer(1)]
+
+    @cached_property
+    def split(self) -> list:
+        """S3 split by its u-dependence: rows w over QQ, each the equation
+        sum_k w_k c_k = 0 on S3's coefficients c of `u_functions`, spanning
+        the complement of their QQ-linear relations (in which a symbolic k
+        and F_val, f_val, fprime_val count as independent symbols)."""
+        funcs = self.u_functions
+        field = [_U_TABLE.to_field(e) for e in funcs]
+        rels = linear_relations([(e,) for e in (
+            funcs if None in field else field)])
+        return [list(w) for w in sp.Matrix(
+            len(rels), len(funcs), sum(rels, [])).nullspace()]
 
     @property
     def scaling(self) -> bool:
@@ -185,50 +195,39 @@ class NonlinearityClass:
 
     def side_checks(self, R, gen: "SymmetryGenerator", mu: Expr) -> dict:
         """The case's side conditions on (mu, a, b), by name, decided in the
-        representation R."""
-        n = R.space.n
+        representation R; they check the cut independently of `split`."""
+        n, T = R.space.n, NonlinearityTag
         a, b, mu = R.of(gen.a), R.of(gen.b), R.of(mu)
         lap = lambda e: laplace_beltrami(R, e)
         Z = lambda e: R.zero(e) is Verdict.ZERO
-        tag = self.tag
-        checks = {}
-        if tag is NonlinearityTag.ARBITRARY:
-            checks["isometry"] = Z(mu)
-            checks["a_zero"] = Z(a)
-            checks["b_zero"] = Z(b)
-        elif tag is NonlinearityTag.ZERO:
-            checks["b_harmonic"] = Z(lap(b))
-            checks["mu_harmonic"] = Z(lap(mu))
-            checks["a_shift_constant"] = R.constant(
-                a - sp.Rational(2 - n, 4) * mu)
-        elif tag is NonlinearityTag.CONSTANT:
-            # for f = k != 0 the binding side conditions are Delta mu = 0 and
-            # (mu - a) k + Delta b = 0 (identically in k when k is symbolic)
-            checks["b_biharmonic"] = Z(lap(lap(b)))
-            checks["mu_harmonic"] = Z(lap(mu))
-            checks["balance"] = Z((mu - a) * R.of(self.k) + lap(b))
-        elif tag is NonlinearityTag.LINEAR:
-            checks["b_eigen"] = Z(lap(b) + b)
-            checks["mu_eigen"] = Z(sp.Rational(2 - n, 4) * lap(mu) + mu)
-            checks["a_shift_constant"] = R.constant(
-                a - sp.Rational(2 - n, 4) * mu)
-        elif tag is NonlinearityTag.EXPONENTIAL:
-            checks["mu_constant"] = R.constant(mu)
-            checks["a_zero"] = Z(a)
-            checks["b_is_minus_mu"] = Z(b + mu)
-        elif tag is NonlinearityTag.POWER:
-            checks["mu_constant"] = R.constant(mu)
-            checks["a_relation"] = Z(a - mu / (1 - self.p))
-            checks["b_zero"] = Z(b)
-        elif tag is NonlinearityTag.CRITICAL:
-            checks["mu_harmonic"] = Z(lap(mu))
-            checks["a_relation"] = Z(a - sp.Rational(2 - n, 4) * mu)
-            checks["b_zero"] = Z(b)
-        elif tag is NonlinearityTag.P2N6:
-            checks["mu_biharmonic"] = Z(lap(lap(mu)))
-            checks["a_relation"] = Z(a + mu)
-            checks["b_relation"] = Z(b - lap(mu) / 2)
-        return checks
+        shift = a - sp.Rational(2 - n, 4) * mu
+        return {
+            T.ARBITRARY: lambda: {"isometry": Z(mu), "a_zero": Z(a),
+                                  "b_zero": Z(b)},
+            T.ZERO: lambda: {"b_harmonic": Z(lap(b)),
+                             "mu_harmonic": Z(lap(mu)),
+                             "a_shift_constant": R.constant(shift)},
+            # for f = k != 0 the binding side conditions are Delta mu = 0
+            # and (mu - a) k + Delta b = 0 (identically in k when symbolic)
+            T.CONSTANT: lambda: {
+                "b_biharmonic": Z(lap(lap(b))), "mu_harmonic": Z(lap(mu)),
+                "balance": Z((mu - a) * R.of(self.k) + lap(b))},
+            T.LINEAR: lambda: {
+                "b_eigen": Z(lap(b) + b),
+                "mu_eigen": Z(sp.Rational(2 - n, 4) * lap(mu) + mu),
+                "a_shift_constant": R.constant(shift)},
+            T.EXPONENTIAL: lambda: {"mu_constant": R.constant(mu),
+                                    "a_zero": Z(a),
+                                    "b_is_minus_mu": Z(b + mu)},
+            T.POWER: lambda: {"mu_constant": R.constant(mu),
+                              "a_relation": Z(a - mu / (1 - self.p)),
+                              "b_zero": Z(b)},
+            T.CRITICAL: lambda: {"mu_harmonic": Z(lap(mu)),
+                                 "a_relation": Z(shift), "b_zero": Z(b)},
+            T.P2N6: lambda: {"mu_biharmonic": Z(lap(lap(mu))),
+                             "a_relation": Z(a + mu),
+                             "b_relation": Z(b - lap(mu) / 2)},
+        }[self.tag]()
 
     def fprime(self) -> Expr:
         return SymbolTable.diff_u(self.f, self.u)
@@ -300,7 +299,7 @@ class DeterminingReport:
     warnings: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)
 class AnsatzBasis:
     functions: list
 
@@ -315,15 +314,11 @@ class AnsatzBasis:
 
     @staticmethod
     def polynomial(M: MetricSpace, degree: int) -> "AnsatzBasis":
-        monos = []
-        for total in range(degree + 1):
+        return AnsatzBasis([
+            sp.Mul(*(M.coords[i] for i in powers))
+            for total in range(degree + 1)
             for powers in itertools.combinations_with_replacement(
-                    range(M.n), total):
-                m = sp.Integer(1)
-                for i in powers:
-                    m *= M.coords[i]
-                monos.append(m)
-        return AnsatzBasis(monos)
+                range(M.n), total)])
 
     def __post_init__(self):
         # keep the first maximal independent subset: f_k goes when a
@@ -351,48 +346,41 @@ def poisson_equation(M: MetricSpace, cls: NonlinearityClass) -> Expr:
     return R.expr(R.normal(R.jet_laplacian + R.of(cls.f)))
 
 
-def _determining_equations(R, xi: list, a, b,
-                           cls: NonlinearityClass) -> tuple:
-    """(S1)-(S3) in R for xi, a and b in R: (mu, S1 rows, S2 list, S3,
-    curv), with only mu normalized.
-
-    curv is the curvature coefficient of u in S3, returned so that the
-    caller can check it against the equivalent ((2-n)/4) Delta_g mu.
-    """
+def _s2_s3(R, cls: NonlinearityClass, xi: list, mu, a, b) -> tuple:
+    """(S2 list, S3's coefficients of `NonlinearityClass.u_functions`, cls's
+    split S3 on them) in R, not normal, for xi, its factor mu, a and b."""
     M = R.space
-    n, c, u = M.n, M.coords, R.of(cls.u)
-    mu, res1 = conformal_residual(R, xi)
+    n, c, scal = M.n, M.coords, R.scalar_curvature
     res2 = [R.diff(a, x) - sp.Rational(2 - n, 4) * R.diff(mu, x) for x in c]
-    f, fp = R.of(cls.f), R.of(cls.fprime())
-    scal = R.scalar_curvature
     curv = sp.Rational(n - 2, 4 * (n - 1)) * (
         sum(xi[i] * R.diff(scal, c[i]) for i in range(n)) + mu * scal)
-    res3 = (a * u * fp + b * fp + (mu - a) * f
-            + curv * u + laplace_beltrami(R, b))
-    return mu, res1, res2, res3, curv
+    coeffs = [a, b, mu - a, curv, laplace_beltrami(R, b)]
+    return res2, coeffs, [sum(w * c for w, c in zip(row, coeffs))
+                          for row in cls.split]
 
 
 def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
                           cls: NonlinearityClass) -> DeterminingReport:
-    """S1-S3 for X, decided in the representation of X, f and F; the
-    report holds normalized Exprs."""
+    """S1-S3 for X, decided in the representation of X, S3 by the class's
+    split; the report holds normalized Exprs, S3 in that of X, f and F."""
     _require_classifiable(M)
     n = M.n
-    R = cls.representation(M, *X.xi.components, X.a, X.b)
-    mu, res1, res2, res3, curv = _determining_equations(
-        R, [R.of(e) for e in X.xi.components], R.of(X.a), R.of(X.b), cls)
+    R = M.representation(*X.xi.components, X.a, X.b)
+    xi = [R.of(e) for e in X.xi.components]
+    mu, res1 = conformal_residual(R, xi)
+    res2, coeffs, split = _s2_s3(R, cls, xi, mu, R.of(X.a), R.of(X.b))
     res1 = [[R.normal(e) for e in row] for row in res1]
     res2 = [R.normal(r) for r in res2]
-    res3 = R.normal(res3)
 
     v1 = [R.zero(res1[i][j]) for i in range(n) for j in range(i, n)]
     v2 = [R.zero(r) for r in res2]
-    v3 = R.zero(res3)
+    v3 = max((R.zero(e) for e in split), default=Verdict.ZERO,
+             key=[Verdict.ZERO, Verdict.INCONCLUSIVE, Verdict.NONZERO].index)
     conformal_ok = all(v is Verdict.ZERO for v in v1)
     # the equivalent form of (S3) carries ((2-n)/4)(Delta_g mu) u in place
-    # of the curvature term; the two must agree whenever xi is conformal
+    # of curv, coeffs[3]; the two must agree whenever xi is conformal
     if conformal_ok and R.zero(
-            curv - sp.Rational(2 - n, 4) * laplace_beltrami(R, mu)
+            coeffs[3] - sp.Rational(2 - n, 4) * laplace_beltrami(R, mu)
     ) is not Verdict.ZERO:
         raise DetSysError("the two nonlinearity-residual forms disagree "
                           "for a conformal generator")
@@ -402,57 +390,85 @@ def determining_residuals(M: MetricSpace, X: SymmetryGenerator,
                 if Verdict.INCONCLUSIVE in vs]
     verdict = (conformal_ok and all(v is Verdict.ZERO for v in v2)
                and v3 is Verdict.ZERO)
+    Rf = cls.representation(M, *X.xi.components, X.a, X.b)
+    coeffs = coeffs if Rf is R else [R.expr(c) for c in coeffs]
+    res3 = Rf.normal(sum(c * Rf.of(phi)
+                         for c, phi in zip(coeffs, cls.u_functions)))
     return DeterminingReport(
         sp.Matrix([[R.expr(e) for e in row] for row in res1]),
-        [R.expr(r) for r in res2], R.expr(res3), R.expr(mu), verdict,
+        [R.expr(r) for r in res2], Rf.expr(res3), R.expr(mu), verdict,
         {"conformal": v1, "gradient": v2, "nonlinearity": v3}, warnings)
 
 
 # ---------------------------------------------------------------------------
-# linear-ansatz solver
+# the conformal algebra and the linear-ansatz solver
+
+@dataclass
+class ConformalAlgebra:
+    """C_B(M), the conformal fields in span(basis)^n: the RREF basis
+    `vectors` of their coefficients over the units (i, phi), phi in xi^i;
+    per field, its components `xi` and factor `mu` in R, and its label."""
+
+    R: object
+    vectors: list
+    xi: list
+    mu: list
+    labels: list
+
+
+@lru_cache(maxsize=8)
+def conformal_algebra(M: MetricSpace, basis: AnsatzBasis) -> ConformalAlgebra:
+    """S1 solved over the ansatz in R, the representation of the basis (the
+    chart's field whenever g and the basis convert), once per both."""
+    R = M.representation(*basis.functions)
+    n, zero = M.n, R.of(sp.Integer(0))
+    units = [[R.of(phi) if j == i else zero for j in range(n)]
+             for i in range(n) for phi in basis.functions]
+    res = [conformal_residual(R, u)[1] for u in units]
+    vectors = linear_relations([[r[i][j] for i in range(n)
+                                 for j in range(i, n)] for r in res])
+    xi = [[R.normal(sum((c * u[i] for c, u in zip(v, units) if c), zero))
+           for i in range(n)] for v in vectors]
+    mu = [conformal_residual(R, x)[0] for x in xi]
+    return ConformalAlgebra(R, vectors, xi, mu, [_label(R, m) for m in mu])
+
 
 @dataclass
 class SolveResult:
     generators: list               # symbolically verified
     reports: list                  # DeterminingReport of each generator
     inconclusive: list             # nullspace directions that failed re-check
-    basis: AnsatzBasis
     nullspace_dim: int
 
 
 def solve_linear_ansatz(M: MetricSpace, cls: NonlinearityClass,
                         basis: AnsatzBasis) -> SolveResult:
     """Each ansatz coefficient is a unit (slot, phi): phi in xi^slot for
-    slot < n, in a for slot n and in b for slot n + 1 (when the class
-    carries b).  The S1-S3 columns of the units are built in the
-    representation of the basis, f and F, and their linear relations are
+    slot < n, in a for slot n and in b for slot n + 1.  The class is the
+    cut of C_B(M) x span(basis) x span(basis) by S2 and its split S3, built
+    in the representation of the basis; its RREF basis over the units gives
     the candidate generators, each re-verified by determining_residuals."""
     _require_classifiable(M)
-    n = M.n
-    R = cls.representation(M, *basis.functions)
-    zero = R.of(sp.Integer(0))
-    units = [(slot, phi) for slot in range(n + 1 + cls.with_b)
-             for phi in basis.functions]
-    columns = []
-    for slot, phi in units:
-        parts = [zero] * (n + 2)
-        parts[slot] = R.of(phi)
-        _, res1, res2, res3, _ = _determining_equations(
-            R, parts[:n], parts[n], parts[n + 1], cls)
-        columns.append([res1[i][j] for i in range(n) for j in range(i, n)]
-                       + res2 + [res3])
-    null = linear_relations(columns)
-
-    generators, reports, inconclusive = [], [], []
-    for vec in null:
-        gen = _combine(M, units, vec)
-        rep = determining_residuals(M, gen, cls)
-        if rep.verdict:
-            generators.append(gen)
-            reports.append(rep)
-        else:
-            inconclusive.append(gen)
-    return SolveResult(generators, reports, inconclusive, basis, len(null))
+    n, C = M.n, conformal_algebra(M, basis)
+    R, d = C.R, len(C.vectors)
+    zero, phis = R.of(sp.Integer(0)), [R.of(phi) for phi in basis.functions]
+    columns = [res2 + split for res2, _, split in (
+        _s2_s3(R, cls, *unknown) for unknown in (
+            [(x, mu, zero, zero) for x, mu in zip(C.xi, C.mu)]
+            + [([zero] * n, zero, phi, zero) for phi in phis]
+            + [([zero] * n, zero, zero, phi) for phi in phis]))]
+    # a cut vector y = (C_B(M) coordinates, a, b) over the units keeps the
+    # RREF: y_m is its entry at the pivot of C.vectors[m]
+    cut = [[sum(y[m] * v[j] for m, v in enumerate(C.vectors))
+            for j in range(n * len(basis))] + y[d:]
+           for y in linear_relations(columns)]
+    units = [(slot, phi) for slot in range(n + 2) for phi in basis.functions]
+    gens = [_combine(M, units, vec) for vec in cut]
+    reps = [determining_residuals(M, gen, cls) for gen in gens]
+    return SolveResult([g for g, r in zip(gens, reps) if r.verdict],
+                       [r for r in reps if r.verdict],
+                       [g for g, r in zip(gens, reps) if not r.verdict],
+                       len(cut))
 
 
 def _combine(M: MetricSpace, units: list, vec) -> SymmetryGenerator:
@@ -463,6 +479,12 @@ def _combine(M: MetricSpace, units: list, vec) -> SymmetryGenerator:
     return SymmetryGenerator(VectorField(M, parts[:M.n]), *parts[M.n:])
 
 
+def _label(R, mu) -> str:
+    """Isometry, Homothety or ConformalKilling, by the factor mu in R."""
+    kind = conformal_kind(R, mu)
+    return "Isometry" if kind is ConformalVerdict.KILLING else kind.value
+
+
 # ---------------------------------------------------------------------------
 # classification against the case table
 
@@ -471,7 +493,6 @@ class ClassifiedGenerator:
     generator: SymmetryGenerator
     mu: Expr
     label: str                       # Isometry / Homothety / ConformalKilling
-    case: str                        # nonlinearity case tag
     side_checks: dict
     violations: list
 
@@ -481,7 +502,6 @@ class ClassificationTable:
     nonlinearity: NonlinearityClass
     entries: list
     inconclusive: list
-    basis: AnsatzBasis
 
     @property
     def dimension(self) -> int:
@@ -490,16 +510,15 @@ class ClassificationTable:
 
 def classify(M: MetricSpace, cls: NonlinearityClass,
              basis: AnsatzBasis) -> ClassificationTable:
+    """The class's generators, labelled and side-checked in the
+    representation of the basis and k."""
     result = solve_linear_ansatz(M, cls, basis)
-    R = cls.representation(M, *basis.functions)
+    R = M.representation(*basis.functions,
+                         *([] if cls.k is None else [cls.k]))
     entries = []
     for gen, rep in zip(result.generators, result.reports):
-        mu = rep.mu
-        kind = conformal_kind(R, R.of(mu))
-        label = ("Isometry" if kind is ConformalVerdict.KILLING
-                 else kind.value)
-        checks = cls.side_checks(R, gen, mu)
-        violations = [name for name, ok in checks.items() if not ok]
-        entries.append(ClassifiedGenerator(gen, mu, label, cls.tag.value,
-                                           checks, violations))
-    return ClassificationTable(cls, entries, result.inconclusive, basis)
+        checks = cls.side_checks(R, gen, rep.mu)
+        entries.append(ClassifiedGenerator(
+            gen, rep.mu, _label(R, R.of(rep.mu)), checks,
+            [name for name, ok in checks.items() if not ok]))
+    return ClassificationTable(cls, entries, result.inconclusive)

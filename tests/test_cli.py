@@ -15,7 +15,8 @@ from poissonsym import catalog, exprcore, geom
 from poissonsym.cli import (EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, EXIT_SYMMETRY,
                             InputError, export_fixture, load_manifest, main,
                             suite_document)
-from poissonsym.exprcore import normalize, parse
+from poissonsym.exprcore import normalize, parse, to_grammar
+from poissonsym.geom import ConformalVerdict, VectorField, conformal_check
 
 
 def run(capsys, *argv):
@@ -161,6 +162,31 @@ def test_killing_solve_conformal_dimension(capsys):
     assert payload["counts"].get("Isometry") == 6
 
 
+#: dim C_B(M), the conformal fields in each fixture's ansatz span
+CONFORMAL_DIMENSIONS = {"euclidean": 10, "hyperbolic3": 10, "sphere3": 10,
+                        "sol": 3, "s2xr": 4, "h2xr": 4, "sl2tilde": 4,
+                        "heisenberg": 4}
+
+
+@pytest.mark.parametrize("name", catalog.GEOMETRY_NAMES)
+def test_killing_solve_prints_the_conformal_algebra(name, capsys):
+    """`killing --solve` prints C_B(M), whatever the curvature: each field
+    is conformal on its own, with the printed mu and label."""
+    code, payload, err = run_json(capsys, "killing", "--geometry", name,
+                                  "--solve")
+    assert (code, err) == (EXIT_OK, "")
+    assert payload["dimension"] == len(payload["fields"]) \
+        == CONFORMAL_DIMENSIONS[name]
+    M = catalog.load(name).space
+    for row in payload["fields"]:
+        rep = conformal_check(M, VectorField(M, row["xi"]))
+        assert rep.verdict is not ConformalVerdict.NOT_CONFORMAL
+        assert row["label"] == ("Isometry" if rep.verdict
+                                is ConformalVerdict.KILLING
+                                else rep.verdict.value)
+        assert row["mu"] == to_grammar(rep.mu)
+
+
 def test_classify_json_schema(capsys):
     code, payload, _ = run_json(capsys, "classify", "--geometry", "sol",
                                 "--class", "arbitrary")
@@ -277,6 +303,10 @@ MALFORMED_BLOCKS = {
     "isometry-dimension-negative": {"isometry_dimension": -1},
     "class-dimension-float": {"class_dimensions": {"arbitrary": 6.5}},
     "class-dimension-bool": {"class_dimensions": {"arbitrary": True}},
+    # a key names a class the suite can run on the chart
+    "class-dimension-misspelt": {"class_dimensions": {"critcal": 10}},
+    "class-dimension-needs-p": {"class_dimensions": {"power": 7}},
+    "class-dimension-p2n6-in-3d": {"class_dimensions": {"p2n6": 0}},
     "killing-unknown-field": {"killing": ["T", "Q"]},
     "killing-not-a-list": {"killing": "T"},
     "auxiliary-not-names": {"auxiliary": [1]},
@@ -315,6 +345,24 @@ def test_malformed_fixture_block_exit_2(block, tmp_path, capsys):
     code, out, err = run(capsys, "suite", str(path))
     assert (code, out) == (EXIT_INPUT, "")
     assert err.startswith("error: fixture") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [[], "", 0, False, None],
+                         ids=["list", "text", "zero", "false", "null"])
+@pytest.mark.parametrize("key", ["vectorfields", "nonlinearity", "ansatz",
+                                 "fixture", "box"])
+def test_optional_block_of_the_wrong_type_exit_2(key, value, tmp_path,
+                                                 capsys):
+    """A present optional block is an object, even when its value is falsy;
+    only an absent one keeps its default."""
+    doc = {**FLAT_MANIFEST, "manifold": dict(FLAT_MANIFEST["manifold"])}
+    (doc["manifold"] if key == "box" else doc)[key] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "curvature", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be an object" in err
 
 
 def test_suite_all_json_is_pinned(suite_reports):

@@ -4,7 +4,7 @@ nonlinearity-case routing, and the linear-ansatz solver."""
 import pytest
 import sympy as sp
 
-from poissonsym import catalog, exprcore
+from poissonsym import catalog, exprcore, geom
 from poissonsym.detsys import (AnsatzBasis, DetSysError, NonlinearityClass,
                                NonlinearityTag, SymmetryGenerator, classify,
                                determining_residuals, poisson_equation)
@@ -244,6 +244,43 @@ def test_rational_solver_runs_in_the_field(monkeypatch, geometry, name, p,
     assert all(not e.violations for e in table.entries)
 
 
+@pytest.mark.parametrize("geometry,dimension", [("sphere3", 6), ("s2xr", 4)])
+def test_exponential_class_is_cut_in_the_field(monkeypatch, geometry,
+                                               dimension):
+    """e^u leaves S3 with its split: the solve, the re-check of every
+    generator and the side conditions take no sampled zero test."""
+    fix = catalog.load(geometry)
+    M = fix.space
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled zero test")
+    for module in (exprcore, geom):
+        monkeypatch.setattr(module, "is_zero", forbidden)
+    table = classify(M, NonlinearityClass.exponential(M.table.u), fix.basis)
+    assert table.dimension == dimension
+    assert not table.inconclusive
+    assert all(not e.violations for e in table.entries)
+
+
+@pytest.mark.parametrize("name,split", [
+    ("arbitrary", [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                   [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+    ("zero", [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+    ("linear", [[1, 0, 1, 1, 0], [0, 1, 0, 0, 1]]),
+    ("exponential", [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0],
+                     [0, 0, 0, 0, 1]]),
+    ("critical", [[0, 1, 0, 0, 0], [5, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                  [0, 0, 0, 0, 1]]),
+    # symbolic k is independent of 1, so mu - a and Delta b vanish apart
+    ("constant", [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+])
+def test_s3_split_by_u_dependence(flat, name, split):
+    """Rows w of the equations sum_k w_k c_k = 0 on S3's coefficients
+    (a, b, mu - a, curv, Delta_g b) of (u f', f', f, u, 1)."""
+    cls = NonlinearityClass.named(name, flat.space, None, None)
+    assert cls.split == split
+
+
 def test_empty_basis_rejected():
     with pytest.raises(DetSysError):
         AnsatzBasis([])
@@ -254,11 +291,15 @@ def test_empty_basis_rejected():
     ["1", "x", "y", "z/20011"],           # scaled past any float cut-off
 ])
 def test_redundant_or_scaled_basis_gives_six_isometries(flat, texts):
+    """The six isometries, and the dilation where the class admits it."""
     M = flat.space
-    cls = NonlinearityClass.arbitrary(M.table.u)
-    table = classify(M, cls, AnsatzBasis.from_strings(M, texts))
-    assert table.dimension == 6
-    assert not table.inconclusive
+    basis = AnsatzBasis.from_strings(M, texts)
+    for name, dimension in (("arbitrary", 6), ("exponential", 7),
+                            ("critical", 7)):
+        table = classify(M, NonlinearityClass.named(name, M, None, None),
+                         basis)
+        assert table.dimension == dimension, name
+        assert not table.inconclusive
 
 
 def test_redundant_basis_keeps_first_independent_subset(flat):
@@ -268,13 +309,14 @@ def test_redundant_basis_keeps_first_independent_subset(flat):
 
 def test_rational_scaling_of_basis_changes_nothing(flat):
     M = flat.space
-    cls = NonlinearityClass.power(M.table.u, 5, 3)
     plain = AnsatzBasis.polynomial(M, 2).functions
     scaled = [f / 3 if f == M.coords[2] else f for f in plain]
-    tables = [classify(M, cls, AnsatzBasis(fs)) for fs in (plain, scaled)]
-    assert tables[0].dimension == tables[1].dimension == 10
-    labels = [sorted(e.label for e in t.entries) for t in tables]
-    assert labels[0] == labels[1]
+    for name, dimension in (("critical", 10), ("exponential", 7)):
+        cls = NonlinearityClass.named(name, M, None, None)
+        tables = [classify(M, cls, AnsatzBasis(fs)) for fs in (plain, scaled)]
+        assert tables[0].dimension == tables[1].dimension == dimension
+        labels = [sorted(e.label for e in t.entries) for t in tables]
+        assert labels[0] == labels[1]
 
 
 def test_exponential_rewrite_keeps_cosh_chart_isometries():

@@ -10,14 +10,13 @@ import sympy.polys.euclidtools
 import sympy.polys.rings
 
 from poissonsym import catalog
-from poissonsym.detsys import (NonlinearityClass, _determining_equations,
-                               poisson_equation)
+from poissonsym.detsys import NonlinearityClass, _s2_s3, poisson_equation
 from poissonsym.exprcore import Verdict, eval_num, is_zero, normalize
 from poissonsym.geom import (FieldRep, GeometryError,
                              InternalConsistencyError, MetricSpace,
                              VectorField, ConformalVerdict, conformal_check,
-                             divergence, laplace_beltrami, lie_bracket,
-                             lie_derivative_metric)
+                             conformal_residual, divergence, laplace_beltrami,
+                             lie_bracket, lie_derivative_metric)
 
 from chart_identities import (conformal_identity_checks,
                               divergence_formula_residuals)
@@ -196,9 +195,9 @@ def test_divergence_cross_check_raises(route, what, monkeypatch):
 
 
 def test_chart_arithmetic_takes_no_gcd(monkeypatch):
-    """Once sphere3's g, g^-1 and sqrt g exist, deriving Gamma, Riemann, R
-    and the S1-S3 columns of a unit takes no polynomial gcd: every
-    denominator stays a power of (1 + r^2), and only trial division
+    """Once sphere3's g, g^-1 and sqrt g exist, deriving Gamma, Riemann, R,
+    S1, S2 and the coefficients of S3 for a unit takes no polynomial gcd:
+    every denominator stays a power of (1 + r^2), and only trial division
     cancels it."""
     S = catalog.load("sphere3").space
     M = MetricSpace([str(c) for c in S.coords], S.g.tolist(), box=S.box)
@@ -214,12 +213,13 @@ def test_chart_arithmetic_takes_no_gcd(monkeypatch):
     cls = NonlinearityClass.named("critical", M, None, None)
     assert cls.representation(M, M.coords[0]) is R
     zero, x = R.of(sp.Integer(0)), R.of(M.coords[0])
-    for slot in range(M.n + 1):
+    for slot in range(M.n + 2):
         parts = [zero] * (M.n + 2)
         parts[slot] = x
-        mu, res1, res2, res3, _ = _determining_equations(
-            R, parts[:M.n], parts[M.n], parts[M.n + 1], cls)
-        assert all(len(p.exps) <= 1 for p in (mu, *res1[0], *res2, res3))
+        mu, res1 = conformal_residual(R, parts[:M.n])
+        res2, coeffs, split = _s2_s3(R, cls, parts[:M.n], mu, *parts[M.n:])
+        assert all(len(p.exps) <= 1
+                   for p in (mu, *res1[0], *res2, *coeffs, *split))
     assert [d.as_expr() for d, _ in M.table._base] == [
         1 + sum(c**2 for c in M.coords)]
 
