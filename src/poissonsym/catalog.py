@@ -195,10 +195,16 @@ class SuiteReport:
         return out
 
 
-def _span_coefficients(cols, target):
+def _in_field(M: MetricSpace, cols) -> list:
+    """cols as jet fractions when every entry converts on M, else as given."""
+    R = M.representation(*(e for col in cols for e in col))
+    return [tuple(map(R.of, col)) for col in cols]
+
+
+def _span_coefficients(M: MetricSpace, cols, target):
     """Rational c with target = sum_m c_m cols[m], or None when target is
     not in the span."""
-    for rel in linear_relations(list(cols) + [target]):
+    for rel in linear_relations(_in_field(M, list(cols) + [target])):
         if rel[-1] != 0:
             return [-c / rel[-1] for c in rel[:-1]]
     return None
@@ -213,7 +219,7 @@ def _bracket_closure(fix: GeometryFixture, report: SuiteReport):
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             br = lie_bracket(fields[i], fields[j])
-            rc = _span_coefficients(cols, tuple(br.components))
+            rc = _span_coefficients(M, cols, tuple(br.components))
             if rc is None:
                 failures.append(f"[{names[i]},{names[j]}] not in the span")
                 continue
@@ -266,7 +272,7 @@ def _run_class(fix: GeometryFixture, cname: str, report: SuiteReport):
             cols = [tuple(e.generator.xi.components)
                     + (e.generator.a, e.generator.b) for e in table.entries]
             missing = [name for name, fld in fix.killing.items()
-                       if _span_coefficients(cols, tuple(fld.components)
+                       if _span_coefficients(M, cols, tuple(fld.components)
                                              + (sp.Integer(0), sp.Integer(0)))
                        is None]
             report.add("isometry_span", not missing,
@@ -380,7 +386,7 @@ def run_fixture_suite(fixture, classes=None) -> SuiteReport:
 
     def independence():
         cols = [tuple(f.components) for f in fix.killing.values()]
-        rank = len(cols) - len(linear_relations(cols))
+        rank = len(cols) - len(linear_relations(_in_field(M, cols)))
         report.add("basis_independent", rank == len(cols),
                    detail=f"rank {rank} of {len(cols)}")
 

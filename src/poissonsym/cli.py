@@ -8,7 +8,7 @@ same grammar so output is round-trippable.  The built-in geometries are
 packaged manifests (`catalog.FIXTURES`) read by the same `load_manifest`.
 
 Exit codes: 0 success, 2 input error, 3 geometry error,
-4 symmetry/Noether failure.
+4 symmetry/Noether failure, 141 standard output closed early.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GEOMETRY = 3
 EXIT_SYMMETRY = 4
+EXIT_PIPE = 141         # stdout closed early; what a SIGPIPE death reports
 
 
 class InputError(Exception):
@@ -666,7 +668,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:     # stdout closed: devnull takes the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (InputError, ExprError, catalog.CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

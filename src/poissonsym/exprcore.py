@@ -290,7 +290,7 @@ class SymbolTable:
         if P not in self._factored:
             (unit, factors), exps = P.factor_list(), {}
             for d, e in factors:
-                if d.LC < 0:
+                if sp.Poly(d.as_expr()).LC() < 0:   # in sympy's gen order
                     d, unit = -d, unit * (-1) ** e
                 if d not in self._base_index:
                     self._base_index[d] = len(self._base)
@@ -321,13 +321,13 @@ class SymbolTable:
 
 class JetFraction(CantSympify):
     """P / (c prod_j d_j^e_j): P in the table's `ring`, c > 0 an integer
-    and the d_j its factor base, irreducible primitive polynomials in
-    (coords, u) with positive leading coefficient, which only grows.  The
-    form is canonical (d_j does not divide P when e_j > 0, gcd(content P,
-    c) = 1, exps ends in no zero), so == and hash are structural, and no
-    arithmetic takes a gcd, only trial divisions by the factors that may
-    cancel (Henrici): `*` strips d_j from the operand whose e_j is 0, `+`
-    those whose exponents were equal.  A divisor must be free of jets."""
+    and the d_j its growing factor base, irreducible primitive polynomials
+    in (coords, u), positive-leading in sympy's generator order as `cancel`
+    signs them.  The form is canonical (d_j does not divide P when e_j > 0,
+    gcd(content P, c) = 1, exps ends in no zero), so == and hash are
+    structural, and no arithmetic takes a gcd, only trial divisions by the
+    factors that may cancel (Henrici): `*` strips d_j from the operand whose
+    e_j is 0, `+` those whose exponents were equal.  Divisors are jet-free."""
 
     __slots__ = ("table", "numer", "c", "exps", "_hash")
 
@@ -399,10 +399,11 @@ class JetFraction(CantSympify):
     def __truediv__(self, other):
         return self * self._lift(other) ** -1
 
-    def as_expr(self) -> Expr:
-        base = self.table._base
-        return self.numer.as_expr() / sp.Mul(self.c, *[
-            base[j][0].as_expr() ** e for j, e in enumerate(self.exps) if e])
+    def as_expr(self, expanded: bool = False) -> Expr:
+        """P / (c prod d_j^e_j); expanded, normalize's Expr (no gcd taken)."""
+        den = sp.Mul(self.c, *[self.table._base[j][0].as_expr() ** e
+                               for j, e in enumerate(self.exps) if e])
+        return self.numer.as_expr() / (sp.expand(den) if expanded else den)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ class MetricSpace:
         self.n = len(self.coords)
         self.signature = signature
         self.box = dict(box or {})
+        self.compiled = {}      # functions compiled for this chart, by key
 
         self.g = sp.Matrix([[self.table.expression(e) for e in row[:self.n]]
                             for row in g[:self.n]])
@@ -367,12 +368,11 @@ class FieldRep(_Rep):
 
     def expr(self, p, e: Expr | None = None) -> Expr:
         """p as e, an Expr of p built elsewhere, or else as the Expr normalize
-        gives on the Expr route (p's denominator is factored, cancel's is
-        expanded), printed once per element; recorded as the Expr's
-        element."""
+        gives on the Expr route (expanded), printed once per element;
+        recorded as the Expr's element."""
         if e is None:
             if p not in self._printed:
-                self._printed[p] = normalize(p.as_expr())
+                self._printed[p] = p.as_expr(expanded=True)
             e = self._printed[p]
         self._elements[e] = p
         return e

@@ -278,12 +278,12 @@ def verify_current_numeric(cur: ConservedCurrent, samples: int = 100,
     """Sample jet points (u_11 solved from H = 0 when on_shell) and bound
     |D_k A^k|; PASS iff below 1e-7 * (1 + current magnitude scale).
 
-    (g^00, H at u_11 = 0) is compiled with math for the on-shell solve, and
-    the components A^k with the direction v_k of D_k (D_k of each of their
-    symbols) with cmath: D_k A^k is the complex step (Squire & Trapp 1998)
-    sum_k Im A^k(p + i STEP v_k) / STEP, exact to rounding and independent
-    of the symbolic check.  Points where a component is undefined or not
-    real (a branch cut) are skipped."""
+    (g^00, H at u_11 = 0) is compiled with math for the on-shell solve, once
+    per chart, H and symbols (`MetricSpace.compiled`), and the components
+    A^k with the direction v_k of D_k (D_k of their symbols) with cmath: D_k
+    A^k is the complex step (Squire & Trapp 1998) sum_k Im A^k(p + i STEP
+    v_k) / STEP, exact to rounding and independent of the symbolic check.
+    Points off a component's domain or on a branch cut are skipped."""
     if samples < 1:
         raise NoetherError(f"need at least one sample, not {samples}")
     M, T = cur.space, cur.space.table
@@ -292,8 +292,9 @@ def verify_current_numeric(cur: ConservedCurrent, samples: int = 100,
     chain = {g for f, g in T.CHAIN if f in free}     # D_k F_val = f_val u_k
     syms = list(M.coords) + T.all_jets()
     syms += sorted((free | chain | H.free_symbols) - set(syms), key=str)
-    u11, n = T.jet2(0, 0), M.n
-    shell = sp.lambdify(syms, (M.g_inv[0, 0], H.subs(u11, 0)), "math")
+    u11, n, key = T.jet2(0, 0), M.n, ("on-shell", H, tuple(syms))
+    shell = M.compiled.get(key) or M.compiled.setdefault(key, sp.lambdify(
+        syms, (M.g_inv[0, 0], H.subs(u11, 0)), "math"))
     current = sp.lambdify(syms, [cur.components, [
         [M.exprs.total_derivative(s, k) if s in free else 0 for s in syms]
         for k in range(n)]], [_CMATH])

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from poissonsym import catalog
-from poissonsym.catalog import CatalogError
+from poissonsym import catalog, exprcore
+from poissonsym.catalog import CatalogError, SuiteReport
 from poissonsym.exprcore import Verdict, is_zero
 from poissonsym.geom import ConformalVerdict, conformal_check
 
@@ -94,6 +94,26 @@ def test_harmonic_b_choices():
         b = parse(fix.harmonic_b, M.table)
         assert is_zero(laplace_beltrami(M.exprs, b),
                        M.policy()) is Verdict.ZERO, name
+
+
+def test_span_checks_decide_in_the_field(monkeypatch):
+    """On a rational chart the bracket-closure and independence checks hand
+    jet fractions to linear_relations, whose Expr kernel never runs; sol's
+    exp(2x) keeps them on that kernel."""
+    kernel, calls = exprcore._field_elements, []
+    monkeypatch.setattr(exprcore, "_field_elements",
+                        lambda exprs: calls.append(exprs) or kernel(exprs))
+    report = SuiteReport("sol")
+    catalog._bracket_closure(catalog.load("sol"), report)
+    assert report.passed and calls
+
+    def refuse(exprs):
+        raise AssertionError("Expr kernel of linear_relations")
+    fix = catalog.load("sphere3")
+    monkeypatch.setattr(exprcore, "_field_elements", refuse)
+    report = catalog.run_fixture_suite(fix, classes=())
+    passed = {c.name: c.passed for c in report.checks}
+    assert passed["bracket_closure"] and passed["basis_independent"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import pytest
 import sympy as sp
 
 from poissonsym import catalog, exprcore, geom
-from poissonsym.cli import (EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, EXIT_SYMMETRY,
-                            InputError, export_fixture, load_manifest, main,
-                            suite_document)
+from poissonsym.cli import (EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, EXIT_PIPE,
+                            EXIT_SYMMETRY, InputError, export_fixture,
+                            load_manifest, main, suite_document)
 from poissonsym.exprcore import normalize, parse, to_grammar
 from poissonsym.geom import ConformalVerdict, VectorField, conformal_check
 
@@ -494,6 +494,22 @@ def test_commands_do_not_import_numpy():
     res = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_closed_stdout_ends_quietly():
+    # `poissonsym export sol | head -1`, with the reader gone before the
+    # first write
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "poissonsym.cli", "export", "sol"],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (res.returncode, res.stderr) == (EXIT_PIPE, "")
 
 
 def test_singular_metric_exit_3(tmp_path, capsys):

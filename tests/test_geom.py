@@ -9,7 +9,7 @@ import sympy as sp
 import sympy.polys.euclidtools
 import sympy.polys.rings
 
-from poissonsym import catalog
+from poissonsym import catalog, geom
 from poissonsym.detsys import NonlinearityClass, _s2_s3, poisson_equation
 from poissonsym.exprcore import Verdict, eval_num, is_zero, normalize
 from poissonsym.geom import (FieldRep, GeometryError,
@@ -235,6 +235,40 @@ def test_rational_metric_tensors_in_the_field():
     assert M.representation(M.sqrt_det) is M.exprs
     lap_z = laplace_beltrami(M.exprs, M.coords[2])
     assert is_zero(lap_z + M.gamma_contracted[2], M.policy()) is Verdict.ZERO
+
+
+@pytest.mark.parametrize("coords", [("x", "y", "z"), ("z", "y", "x")])
+def test_field_elements_print_without_normalize(monkeypatch, coords):
+    """FieldRep.expr prints P over the expanded c prod d_j^e_j with no
+    gcd, and gets the Expr normalize gives.  The base is 1 + x^2 and x - z,
+    which leads positively in sympy's generator order (x first) as cancel
+    prints it, though negatively in the (z, y, x) chart's own order."""
+    M = MetricSpace(list(coords), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    R, T = M._chart, M.table
+    x, y, z = map(T.lookup, "xyz")
+    u_x = T.lookup("u_x")
+    d, e = 1 + x**2, x - z
+    p = {name: T.to_field(v) for name, v in {
+        "content 2, c = 9": (4*x + 6*y*u_x) / (9 * d**2 * e),
+        "negative leading": -(x**2 + y) / (d * e**3),
+        "exponents > 1": x / (2 * d**3 * e**2),
+        "constant": sp.Rational(-3, 7),
+        "zero": sp.Integer(0)}.items()}
+    assert [b.as_expr() for b, _ in T._base] == [d, e]
+    c9 = p["content 2, c = 9"]
+    assert (c9.numer.content(), c9.c, c9.exps) == (2, 9, (2, 1))
+    assert p["negative leading"].numer.LC < 0
+    assert p["exponents > 1"].exps == (3, 2)
+
+    def refuse(e):
+        raise AssertionError("normalize called")
+    with monkeypatch.context() as m:
+        m.setattr(geom, "normalize", refuse)
+        printed = {name: R.expr(q) for name, q in p.items()}
+    for name, q in p.items():
+        reference = normalize(q.as_expr())
+        assert (printed[name], str(printed[name])) \
+            == (reference, str(reference)), name
 
 
 # ---------------------------------------------------------------------------
